@@ -12,6 +12,7 @@
 //! for the downscaled CI mode: headline only, at 512x512, written to
 //! `target/BENCH_dwt_smoke.json`.
 
+use bench::json_rows;
 use dwt::engine::{lifting as elift, DwtPlan};
 use dwt::lifting::{self, LiftingKind};
 use dwt::{dwt2d, Boundary, FilterBank, Matrix};
@@ -252,23 +253,16 @@ fn main() {
     out.push_str(&format!("  \"host_threads\": {cores},\n"));
     out.push_str(&format!("  \"headline\": {headline},\n"));
     out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
+    out.push_str(&json_rows(rows.iter().map(|r| {
+        format!(
             concat!(
-                "    {{\"name\": \"{}\", \"size\": {}, \"filter\": \"{}\", ",
+                "{{\"name\": \"{}\", \"size\": {}, \"filter\": \"{}\", ",
                 "\"levels\": {}, \"threads\": {}, \"median_ns_per_px\": {:.3}, ",
-                "\"samples\": {}}}{}\n"
+                "\"samples\": {}}}"
             ),
-            r.name,
-            r.size,
-            r.filter,
-            r.levels,
-            r.threads,
-            r.ns_per_px,
-            r.samples,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
+            r.name, r.size, r.filter, r.levels, r.threads, r.ns_per_px, r.samples,
+        )
+    })));
     out.push_str("  ]\n}\n");
     let path = if smoke {
         "target/BENCH_dwt_smoke.json"

@@ -11,7 +11,7 @@
 //! Run from the repo root with `just faults-json` (or
 //! `cargo run --release -p bench --bin bench_faults`).
 
-use bench::{paper_image, paragon_cfg, t3d_cfg, tuned_dwt};
+use bench::{json_rows, paper_image, paragon_cfg, t3d_cfg, tuned_dwt};
 use dwt::{dwt2d, Boundary, FilterBank};
 use dwt_mimd::block::run_block_dwt;
 use dwt_mimd::idwt::run_mimd_idwt;
@@ -259,11 +259,7 @@ fn main() {
     out.push_str("  \"transforms\": [\"D4 L3 block analysis\", \"D4 L3 striped synthesis\"],\n");
     out.push_str("  \"policy\": \"redistribute-on-crash\",\n");
     out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&r.json());
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
+    out.push_str(&json_rows(rows.iter().map(Row::json)));
     out.push_str("  ]\n}\n");
     std::fs::write("BENCH_faults.json", &out).expect("write BENCH_faults.json");
     eprintln!("wrote BENCH_faults.json");

@@ -1,9 +1,9 @@
 //! Machine-readable serving benchmark: a seeded open-loop load
-//! generator drives the `wserv` discrete-event simulator across an
-//! arrival-rate x shard-count x cache x batching grid, plus a seeded
-//! chaos sweep (worker panics, shard crashes, stalls, poison requests,
-//! degraded-mode brownout) through `run_chaos`, plus a closed-loop
-//! multi-client transport sweep (`transport_results`) through
+//! generator drives the `wserv` discrete-event simulator (`run_sim`)
+//! across an arrival-rate x shard-count x cache x batching grid, plus a
+//! seeded chaos sweep through the same simulator (worker panics, shard
+//! crashes, stalls, poison requests, degraded-mode brownout), plus a
+//! closed-loop multi-client transport sweep (`transport_results`) through
 //! `run_closed_loop` with the wire itself in the loop — framing cost
 //! charged to the Communication lane, seeded `WireFaultPlan` resets,
 //! truncations, bit flips and stalls — and writes `BENCH_service.json`
@@ -30,12 +30,13 @@
 
 use std::time::{Duration, Instant};
 
+use bench::json_rows;
 use dwt::{dwt2d, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
 use wserv::progressive::pyramid_max_abs_diff;
 use wserv::sim::{
-    run_chaos, run_closed_loop, run_sim, ClosedLoopConfig, ClosedLoopReport, CostModel,
-    ProgressiveSim, SimReport,
+    run_closed_loop, run_sim, ClosedLoopConfig, ClosedLoopReport, CostModel, ProgressiveSim,
+    SimReport,
 };
 use wserv::transport::Connector;
 use wserv::{
@@ -362,7 +363,7 @@ fn chaos_sweep(n_reqs: usize, rate_hz: f64) -> Vec<ChaosCell> {
     let cost = CostModel::default();
     let mut cells = Vec::new();
     for (scenario, cfg) in chaos_scenarios() {
-        let report = run_chaos(&cfg, &cost, stream(n_reqs, rate_hz));
+        let report = run_sim(&cfg, &cost, stream(n_reqs, rate_hz));
         let cell = ChaosCell {
             scenario,
             shards: 3,
@@ -1191,13 +1192,7 @@ fn live_rows(clients: usize, reqs_per_client: usize, prediction: &ClosedLoopRepo
         books[0], books[1],
         "shim and TCP must produce identical resolution books for the same seed"
     );
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(r);
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out
+    json_rows(rows)
 }
 
 // ---------------------------------------------------------------------
@@ -1421,13 +1416,7 @@ fn progressive_live_rows(clients: usize, reqs_per_client: usize) -> String {
             ));
         }
     }
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(r);
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out
+    json_rows(rows)
 }
 
 // ---------------------------------------------------------------------
@@ -1679,51 +1668,23 @@ fn render(
     out.push_str(&format!("  \"requests_per_cell\": {n_reqs},\n"));
     out.push_str(&format!("  \"shape_pool\": {},\n", shape_pool().len()));
     out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
-    }
+    out.push_str(&json_rows(cells.iter().map(Cell::json)));
     out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"chaos_requests_per_cell\": {},\n",
         chaos.first().map_or(0, |c| c.requests)
     ));
     out.push_str("  \"chaos_results\": [\n");
-    for (i, c) in chaos.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == chaos.len() { "\n" } else { ",\n" });
-    }
+    out.push_str(&json_rows(chaos.iter().map(ChaosCell::json)));
     out.push_str("  ],\n");
     out.push_str("  \"transport_results\": [\n");
-    for (i, c) in transport.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == transport.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
-    }
+    out.push_str(&json_rows(transport.iter().map(TransportCell::json)));
     out.push_str("  ],\n");
     out.push_str("  \"progressive_results\": [\n");
-    for (i, c) in progressive.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == progressive.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
-    }
+    out.push_str(&json_rows(progressive.iter().map(ProgressiveCell::json)));
     out.push_str("  ],\n");
     out.push_str("  \"elastic_results\": [\n");
-    for (i, c) in elastic.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == elastic.len() { "\n" } else { ",\n" });
-    }
+    out.push_str(&json_rows(elastic.iter().map(ElasticCell::json)));
     out.push_str("  ]\n}\n");
     out
 }

@@ -60,6 +60,25 @@ pub fn naive_dwt(filter: usize, levels: usize) -> MimdDwtConfig {
 /// Boundary mode used throughout the reproduction.
 pub const MODE: Boundary = Boundary::Periodic;
 
+/// The body of a JSON array of pre-rendered rows, as the `BENCH_*.json`
+/// writers lay it out: each row on its own line indented four spaces, a
+/// comma after every row but the last, and a newline after the last.
+/// Empty for no rows.
+pub fn json_rows<S: AsRef<str>>(rows: impl IntoIterator<Item = S>) -> String {
+    let mut out = String::new();
+    for row in rows {
+        if !out.is_empty() {
+            out.push_str(",\n");
+        }
+        out.push_str("    ");
+        out.push_str(row.as_ref());
+    }
+    if !out.is_empty() {
+        out.push('\n');
+    }
+    out
+}
+
 /// Print a header banner for a harness section.
 pub fn banner(title: &str) {
     println!();

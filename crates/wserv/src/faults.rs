@@ -5,9 +5,9 @@
 //! schedules — no wall clock, no mutable RNG) from the SPMD simulators
 //! into `wserv`. Every injection decision is either an explicit literal
 //! event or a pure hash of the plan seed and a canonical coordinate, so
-//! the discrete-event chaos simulator replays byte-identically from the
-//! seed and the live threaded driver injects the *same* faults at the
-//! same shard-local dispatch indices.
+//! the discrete-event simulator ([`crate::sim::run_sim`]) replays
+//! byte-identically from the seed and the live threaded driver injects
+//! the *same* faults at the same shard-local dispatch indices.
 //!
 //! Injected fault classes:
 //!

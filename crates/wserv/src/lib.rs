@@ -25,10 +25,10 @@
 //!
 //! * [`WaveletService`] — the live threaded server (one worker thread
 //!   per shard, wall-clock service time, graceful-drain shutdown);
-//! * [`sim::run_sim`] — a deterministic discrete-event simulator
-//!   (virtual clock, analytic [`sim::CostModel`]) used by the
-//!   `bench_service` load generator to emit byte-reproducible latency
-//!   and throughput numbers.
+//! * [`sim::run_sim`] — a deterministic discrete-event simulator, one
+//!   event loop over every shard (virtual clock, analytic
+//!   [`sim::CostModel`]), used by the `bench_service` load generator
+//!   to emit byte-reproducible latency and throughput numbers.
 //!
 //! The split is what makes both halves testable: policies are pure
 //! state machines over an explicit `now`, so property tests can drive
@@ -51,8 +51,8 @@
 //! [`Rejection::ShardFailed`] / [`Rejection::Requeued`] outcomes for
 //! what cannot be saved, and an optional [`DegradedPolicy`] answers
 //! sub-interactive work on pressured shards with bounded-error
-//! responses instead of rejections ([`sim::run_chaos`] is the sim-side
-//! counterpart). Restart, requeue and backoff time lands in the
+//! responses instead of rejections ([`sim::run_sim`] injects the same
+//! plan into its event loop). Restart, requeue and backoff time lands in the
 //! FaultRecovery lane.
 
 pub mod admission;

@@ -32,7 +32,7 @@
 //!   instead of letting the backlog shed it.
 //!
 //! Fault *injection* is deterministic and seeded ([`ShardFaultPlan`]):
-//! the same plan drives the chaos simulator ([`crate::sim::run_chaos`])
+//! the same plan drives the simulator ([`crate::sim::run_sim`])
 //! and this live driver, at the same shard-local dispatch indices.
 //!
 //! Shutdown is a graceful drain: [`WaveletService::shutdown`] flips the
@@ -62,7 +62,7 @@ use crate::elastic::{
 use crate::faults::{DegradedPolicy, ShardFaultPlan, SupervisorPolicy};
 use crate::metrics::{LaneSplit, MetricsSnapshot, ShardMetrics};
 use crate::request::{
-    DecomposeRequest, DecomposeResponse, Entry, Priority, RejectKind, Rejection, ServeResult,
+    DecomposeRequest, DecomposeResponse, Entry, RejectKind, Rejection, ServeResult,
 };
 use crate::shard;
 
@@ -794,14 +794,18 @@ fn worker_loop(
 ) {
     let me = &shards[shard_ix];
     loop {
-        let wake = Instant::now();
         let popped = {
             let mut inner = me.inner.lock();
             loop {
                 if !inner.queue.is_empty() {
+                    // Stamp the wake once the worker holds work: time
+                    // blocked on the condvar is idle, which `finalize`
+                    // already charges to ImbalanceWait, so it must not
+                    // land in the dispatch lane too.
+                    let wake = Instant::now();
                     let now = start.elapsed().as_secs_f64();
                     let depth_frac = inner.queue.len() as f64 / cfg.queue_capacity.max(1) as f64;
-                    break Some((inner.queue.pop_batch(now, &cfg.batch), depth_frac));
+                    break Some((inner.queue.pop_batch(now, &cfg.batch), depth_frac, wake));
                 }
                 if inner.draining {
                     break None;
@@ -809,7 +813,7 @@ fn worker_loop(
                 me.work.wait(&mut inner);
             }
         };
-        let Some((pop, depth_frac)) = popped else {
+        let Some((pop, depth_frac, wake)) = popped else {
             // Queue empty and draining: done. The books are closed
             // centrally at shutdown (metrics are shared state).
             return;
@@ -870,7 +874,7 @@ fn worker_loop(
                 let now = start.elapsed().as_secs_f64();
                 quarantine(me, batch, &cfg.supervisor, now);
             }
-            Ok(Ok(done)) => {
+            Ok(Ok(mut done)) => {
                 // Degrade sub-interactive work when capacity is reduced:
                 // covering for a failed peer, or a queue past the
                 // high-water mark.
@@ -878,33 +882,32 @@ fn worker_loop(
                     .iter()
                     .enumerate()
                     .any(|(i, s)| i != shard_ix && !s.alive());
-                let degrade = cfg
-                    .degraded
-                    .filter(|d| peer_failed || depth_frac >= d.queue_high_water);
                 let batch_size = batch.len();
                 let shape_key = shard::shape_key(&batch.shape);
                 let arrivals = batch.arrivals();
                 let end = start.elapsed().as_secs_f64();
-                let mut degraded_count = 0u64;
-                for (entry, mut pyramid) in batch.entries.into_iter().zip(done.pyramids) {
-                    let mut error_bound = 0.0;
-                    let mut degraded = false;
-                    if let Some(d) = degrade {
-                        if entry.req.priority < Priority::Interactive {
-                            shard::degrade_pyramid(&mut pyramid, &d);
-                            error_bound = d.error_bound();
-                            degraded = true;
-                            degraded_count += 1;
-                        }
-                    }
+                let degradation = shard::degrade_batch(
+                    cfg.degraded,
+                    peer_failed,
+                    depth_frac,
+                    &batch.entries,
+                    &mut done.pyramids,
+                );
+                let degraded_count = degradation.iter().filter(|d| d.degraded).count() as u64;
+                for ((entry, pyramid), d) in batch
+                    .entries
+                    .into_iter()
+                    .zip(done.pyramids)
+                    .zip(degradation)
+                {
                     entry.tag.resolve(Ok(DecomposeResponse {
                         pyramid,
                         cache_hit: done.cache_hit,
                         batch_size,
                         wait_s: (dispatch_start - entry.arrival).max(0.0),
                         service_s: (end - dispatch_start).max(0.0),
-                        degraded,
-                        error_bound,
+                        degraded: d.degraded,
+                        error_bound: d.error_bound,
                     }));
                 }
                 let deliver_s = t1.elapsed().as_secs_f64();

@@ -14,6 +14,8 @@ use dwt::Pyramid;
 
 use crate::batch::Batch;
 use crate::cache::PlanCache;
+use crate::faults::DegradedPolicy;
+use crate::request::{Entry, Priority};
 
 /// FNV-1a, used instead of the std `DefaultHasher` so shard routing is
 /// stable by specification rather than by implementation accident.
@@ -51,7 +53,7 @@ pub fn shard_of(shape: &PlanShape, nshards: usize) -> usize {
 /// Failover routing: the shape's home shard if it is alive, otherwise
 /// the first live successor walking the shard ring. `None` when every
 /// shard is down. Pure function of `(shape, alive)`, identical in the
-/// live server and the chaos simulator — which is what makes failover
+/// live server and the simulator — which is what makes failover
 /// deterministic and replayable.
 pub fn route(shape: &PlanShape, alive: &[bool]) -> Option<usize> {
     let n = alive.len();
@@ -101,7 +103,7 @@ pub fn execute<T>(cache: &mut PlanCache, batch: &Batch<T>) -> Result<Executed, S
 /// [`DegradedPolicy::error_bound`] by construction. Returns the number
 /// of surviving (nonzero) detail coefficients, which is what the
 /// delivery cost of a degraded response scales with.
-pub fn degrade_pyramid(pyr: &mut Pyramid, policy: &crate::faults::DegradedPolicy) -> usize {
+pub fn degrade_pyramid(pyr: &mut Pyramid, policy: &DegradedPolicy) -> usize {
     let mut kept = 0;
     for bands in &mut pyr.detail {
         let (lh, hl, hh) = bands.split_mut();
@@ -121,10 +123,67 @@ pub fn degrade_pyramid(pyr: &mut Pyramid, policy: &crate::faults::DegradedPolicy
     kept
 }
 
+/// How one response of a batch left the degrade step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Degradation {
+    /// Whether the response was degraded.
+    pub degraded: bool,
+    /// The per-coefficient error bound the response carries (0 when
+    /// exact).
+    pub error_bound: f64,
+    /// Fraction of the pyramid's coefficients that survive (1 when
+    /// exact) — what the response's delivery cost scales with.
+    pub kept_frac: f64,
+}
+
+/// The degraded-mode decision for one executed batch, shared by the
+/// live worker and the simulator. A shard under pressure — covering for
+/// a failed peer, or with a queue depth fraction at or past the
+/// policy's high-water mark — degrades every sub-interactive response
+/// in place with [`degrade_pyramid`]; interactive work, and every
+/// response when the shard is not pressured or `policy` is `None`,
+/// stays exact. Returns one [`Degradation`] per response, in batch
+/// order.
+pub fn degrade_batch<T>(
+    policy: Option<DegradedPolicy>,
+    peer_failed: bool,
+    depth_frac: f64,
+    entries: &[Entry<T>],
+    pyramids: &mut [Pyramid],
+) -> Vec<Degradation> {
+    let policy = policy.filter(|d| peer_failed || depth_frac >= d.queue_high_water);
+    let exact = Degradation {
+        degraded: false,
+        error_bound: 0.0,
+        kept_frac: 1.0,
+    };
+    entries
+        .iter()
+        .zip(pyramids)
+        .map(|(entry, pyramid)| match policy {
+            Some(d) if entry.req.priority < Priority::Interactive => {
+                let total_detail: usize = pyramid
+                    .detail
+                    .iter()
+                    .map(|b| b.lh.data().len() + b.hl.data().len() + b.hh.data().len())
+                    .sum();
+                let approx_len = pyramid.approx.data().len();
+                let kept = degrade_pyramid(pyramid, &d);
+                Degradation {
+                    degraded: true,
+                    error_bound: d.error_bound(),
+                    kept_frac: (approx_len + kept) as f64
+                        / (approx_len + total_detail).max(1) as f64,
+                }
+            }
+            _ => exact,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::DegradedPolicy;
     use dwt::{dwt2d, Boundary, FilterBank, Matrix};
 
     #[test]

@@ -14,19 +14,19 @@
 //!    responses carry actual pyramids and the bit-identity invariants
 //!    (cache on/off, batch 1/N) are checkable against the engine.
 //!
-//! In the fault-free simulator ([`run_sim`]) shards share nothing, so
-//! each is simulated as an independent single-server queue; arrivals
-//! are admitted at their own timestamps before each dispatch decision,
-//! which reproduces the live ordering.
-//!
-//! The *chaos* simulator ([`run_chaos`]) additionally injects a seeded
-//! [`crate::faults::ShardFaultPlan`] and models the recovery machinery
-//! of the live driver — supervisor restarts with backoff, poisoned-
-//! batch quarantine, failover re-routing, degraded-mode responses. A
-//! failed shard changes where *other* shards' arrivals route, so the
-//! chaos run is one joint event loop over all shards instead of N
-//! independent ones. It is still a pure function of
-//! `(config, cost, stream)`: replaying the same seed is byte-identical.
+//! There is one open-loop event loop, [`run_sim`], over all shards at
+//! once. Arrivals are admitted at their own timestamps before any
+//! dispatch at or after them, which reproduces the live ordering. The
+//! loop injects the configuration's seeded
+//! [`crate::faults::ShardFaultPlan`] and models the live driver's
+//! recovery machinery — supervisor restarts with backoff,
+//! poisoned-batch quarantine, failover re-routing, degraded-mode
+//! responses — and its elastic control plane. A failed shard or an
+//! elastic steal changes where *other* shards' work goes, which is why
+//! the shards share one loop. [`run_closed_loop`] drives the same
+//! shard-side machinery with clients and the wire in the loop. Both are
+//! pure functions of their inputs: replaying the same seed is
+//! byte-identical.
 
 use std::collections::VecDeque;
 
@@ -38,7 +38,7 @@ use crate::metrics::{Histogram, LaneSplit, MetricsSnapshot, ShardMetrics};
 use crate::progressive::{split_response, Reassembler};
 use crate::remote::RetryPolicy;
 use crate::request::{
-    DecomposeRequest, DecomposeResponse, Entry, Priority, RejectKind, Rejection, ServeResult,
+    DecomposeRequest, DecomposeResponse, Entry, RejectKind, Rejection, ServeResult,
 };
 use crate::server::ServiceConfig;
 use crate::shard;
@@ -121,178 +121,8 @@ impl SimReport {
     }
 }
 
-/// Run the service over a timestamped arrival stream (non-decreasing
-/// times, virtual seconds) and return every outcome plus the metrics.
-pub fn run_sim(
-    config: &ServiceConfig,
-    cost: &CostModel,
-    stream: Vec<(f64, DecomposeRequest)>,
-) -> SimReport {
-    if config.elastic.is_some() {
-        // Elastic decisions couple the shards (a steal moves work
-        // between queues), so the independent per-shard loops below no
-        // longer apply; the joint chaos event loop handles it — and
-        // with an empty fault plan it orders events identically.
-        return run_chaos(config, cost, stream);
-    }
-    let nshards = config.shards.max(1);
-    let mut outcomes: Vec<Option<ServeResult>> = (0..stream.len()).map(|_| None).collect();
-    let mut per_shard: Vec<VecDeque<Entry<usize>>> =
-        (0..nshards).map(|_| VecDeque::new()).collect();
-    let mut invalid_per_shard = vec![0u64; nshards];
-    let mut last_t = f64::NEG_INFINITY;
-    for (ix, (t, req)) in stream.into_iter().enumerate() {
-        assert!(t >= last_t, "arrival stream must be sorted by time");
-        last_t = t;
-        let shard_ix = shard::shard_of(&req.shape(), nshards);
-        if let Err(rejection) = req.validate() {
-            invalid_per_shard[shard_ix] += 1;
-            outcomes[ix] = Some(Err(rejection));
-            continue;
-        }
-        per_shard[shard_ix].push_back(Entry {
-            id: ix as u64,
-            arrival: t,
-            req,
-            attempts: 0,
-            tag: ix,
-        });
-    }
-
-    let mut shards = Vec::with_capacity(nshards);
-    let mut makespan_s: f64 = 0.0;
-    for (shard_ix, arrivals) in per_shard.into_iter().enumerate() {
-        let (metrics, idle_at) = run_shard(
-            config,
-            cost,
-            arrivals,
-            invalid_per_shard[shard_ix],
-            &mut outcomes,
-        );
-        makespan_s = makespan_s.max(idle_at);
-        shards.push(metrics);
-    }
-    SimReport {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every request terminates in exactly one outcome"))
-            .collect(),
-        metrics: MetricsSnapshot { shards },
-        makespan_s,
-        actions: Vec::new(),
-    }
-}
-
-fn run_shard(
-    config: &ServiceConfig,
-    cost: &CostModel,
-    mut arrivals: VecDeque<Entry<usize>>,
-    invalid: u64,
-    outcomes: &mut [Option<ServeResult>],
-) -> (ShardMetrics, f64) {
-    let mut queue: AdmissionQueue<usize> = AdmissionQueue::new(config.queue_capacity);
-    let mut cache = PlanCache::new(config.cache_capacity, config.engine_threads);
-    let mut metrics = ShardMetrics::default();
-    for _ in 0..invalid {
-        queue.counters.reject(RejectKind::Invalid);
-    }
-    let mut t_free = 0.0f64;
-    loop {
-        // The worker's next dispatch moment: immediately when work is
-        // queued, otherwise when the next arrival lands.
-        let dispatch_at = if queue.is_empty() {
-            match arrivals.front() {
-                None => break,
-                Some(next) => t_free.max(next.arrival),
-            }
-        } else {
-            t_free
-        };
-        // Replay every arrival up to that moment at its own timestamp,
-        // exactly as the live submitters would have.
-        while arrivals.front().is_some_and(|e| e.arrival <= dispatch_at) {
-            let entry = arrivals.pop_front().expect("front just checked");
-            let now = entry.arrival;
-            let incoming = entry.req.priority;
-            match queue.admit(now, entry) {
-                Admit::Accepted => {}
-                Admit::AcceptedShedding(victim) => {
-                    metrics.record_lost((now - victim.arrival).max(0.0));
-                    outcomes[victim.tag] = Some(Err(Rejection::Shed { by: incoming }));
-                }
-                Admit::Rejected(e, rejection) => {
-                    outcomes[e.tag] = Some(Err(rejection));
-                }
-            }
-        }
-        let pop = queue.pop_batch(dispatch_at, &config.batch);
-        for e in pop.expired {
-            let deadline = e.req.deadline.expect("expired implies a deadline");
-            metrics.record_lost((dispatch_at - e.arrival).max(0.0));
-            outcomes[e.tag] = Some(Err(Rejection::DeadlineExpired {
-                deadline,
-                now: dispatch_at,
-            }));
-        }
-        let Some(batch) = pop.batch else {
-            t_free = dispatch_at;
-            continue;
-        };
-        match shard::execute(&mut cache, &batch) {
-            Ok(done) => {
-                let batch_size = batch.len();
-                let plan_s = if done.cache_hit {
-                    0.0
-                } else {
-                    cost.plan_s(&batch.shape)
-                };
-                let transform_s = cost.transform_s(&batch.shape) * batch_size as f64;
-                let deliver_s = cost.deliver_s_per_request * batch_size as f64;
-                let end = dispatch_at + cost.dispatch_s + plan_s + transform_s + deliver_s;
-                metrics.record_batch(
-                    dispatch_at,
-                    end,
-                    &batch.arrivals(),
-                    LaneSplit {
-                        dispatch_s: cost.dispatch_s,
-                        plan_s,
-                        transform_s,
-                        deliver_s,
-                    },
-                );
-                for (entry, pyramid) in batch.entries.into_iter().zip(done.pyramids) {
-                    outcomes[entry.tag] = Some(Ok(DecomposeResponse {
-                        pyramid,
-                        cache_hit: done.cache_hit,
-                        batch_size,
-                        wait_s: (dispatch_at - entry.arrival).max(0.0),
-                        service_s: end - dispatch_at,
-                        degraded: false,
-                        error_bound: 0.0,
-                    }));
-                }
-                t_free = end;
-            }
-            Err(detail) => {
-                // Unreachable for validated requests; keep the contract
-                // that every entry terminates anyway.
-                for entry in batch.entries {
-                    outcomes[entry.tag] = Some(Err(Rejection::Invalid {
-                        detail: detail.clone(),
-                    }));
-                }
-                t_free = dispatch_at;
-            }
-        }
-    }
-    metrics.queue = queue.counters.clone();
-    metrics.absorb_cache(&cache);
-    metrics.finalize(t_free);
-    (metrics, t_free)
-}
-
-/// One shard of the joint chaos event loop.
-struct ChaosShard {
+/// One shard of the simulated service.
+struct SimShard {
     queue: AdmissionQueue<usize>,
     cache: PlanCache,
     metrics: ShardMetrics,
@@ -306,9 +136,9 @@ struct ChaosShard {
     failed: bool,
 }
 
-impl ChaosShard {
+impl SimShard {
     fn new(config: &ServiceConfig) -> Self {
-        ChaosShard {
+        SimShard {
             queue: AdmissionQueue::new(config.queue_capacity),
             cache: PlanCache::new(config.cache_capacity, config.engine_threads),
             metrics: ShardMetrics::default(),
@@ -320,11 +150,462 @@ impl ChaosShard {
     }
 }
 
-/// Run the service under the configuration's [`ShardFaultPlan`] as one
-/// joint multi-shard discrete-event loop and return every outcome plus
-/// the metrics.
+/// The server side of a simulation: every shard slot, the routing map,
+/// and one outcome slot per request. [`run_sim`] and
+/// [`run_closed_loop`] both drive it — they differ only in where
+/// arrivals come from and who observes the outcomes.
+struct ShardSide<'a> {
+    config: &'a ServiceConfig,
+    cost: &'a CostModel,
+    shards: Vec<SimShard>,
+    map: ShardMap,
+    outcomes: Vec<Option<ServeResult>>,
+}
+
+impl<'a> ShardSide<'a> {
+    /// `slots` shard slots (base shards, then elastic reserve) and
+    /// `requests` empty outcome slots.
+    fn new(config: &'a ServiceConfig, cost: &'a CostModel, slots: usize, requests: usize) -> Self {
+        config
+            .faults
+            .validate(slots)
+            .expect("invalid fault plan for this shard count");
+        let nshards = config.shards.max(1);
+        ShardSide {
+            config,
+            cost,
+            shards: (0..slots).map(|_| SimShard::new(config)).collect(),
+            map: ShardMap::new(nshards, slots - nshards),
+            outcomes: (0..requests).map(|_| None).collect(),
+        }
+    }
+
+    /// Validate request `ix` at the door. An invalid request resolves
+    /// here, accounted to its shape's home shard; a valid one is handed
+    /// back for routing.
+    fn screen(&mut self, ix: usize, req: DecomposeRequest) -> Option<DecomposeRequest> {
+        match req.validate() {
+            Ok(()) => Some(req),
+            Err(rejection) => {
+                let home = self.map.home(&req.shape());
+                self.shards[home].queue.counters.reject(RejectKind::Invalid);
+                self.outcomes[ix] = Some(Err(rejection));
+                None
+            }
+        }
+    }
+
+    /// Route and admit one screened arrival at its own timestamp.
+    /// Routing goes through the [`ShardMap`] (overrides, active set,
+    /// ring successors); rejections are accounted to the shape's stable
+    /// FNV home, which elastic actions never move.
+    fn arrive(&mut self, t: f64, ix: usize, req: DecomposeRequest) {
+        let shape = req.shape();
+        let home = self.map.home(&shape);
+        let Some(target) = self.map.route(&shape, &self.alive()) else {
+            let restarts = self.shards[home].restarts;
+            self.shards[home]
+                .queue
+                .counters
+                .reject(RejectKind::ShardFailed);
+            self.outcomes[ix] = Some(Err(Rejection::ShardFailed {
+                shard: home,
+                restarts,
+            }));
+            return;
+        };
+        let entry = Entry {
+            id: ix as u64,
+            arrival: t,
+            req,
+            attempts: 0,
+            tag: ix,
+        };
+        self.admit(target, entry, t);
+    }
+
+    fn alive(&self) -> Vec<bool> {
+        self.shards.iter().map(|sh| !sh.failed).collect()
+    }
+
+    /// The next dispatch `(moment, shard)` across live shards with
+    /// queued work; ties go to the lower shard index.
+    fn next_dispatch(&self) -> Option<(f64, usize)> {
+        self.shards
+            .iter()
+            .enumerate()
+            .filter(|(_, sh)| !sh.failed && !sh.queue.is_empty())
+            .map(|(s, sh)| (sh.t_free, s))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+    }
+
+    /// Admit one entry into `target`'s queue at virtual time `t`,
+    /// resolving shed victims and refusals. An idle shard's free time
+    /// advances to the admission time (it cannot dispatch work before
+    /// the work exists).
+    fn admit(&mut self, target: usize, entry: Entry<usize>, t: f64) -> bool {
+        let incoming = entry.req.priority;
+        let sh = &mut self.shards[target];
+        if sh.queue.is_empty() {
+            sh.t_free = sh.t_free.max(t);
+        }
+        match sh.queue.admit(t, entry) {
+            Admit::Accepted => true,
+            Admit::AcceptedShedding(victim) => {
+                sh.metrics.record_lost((t - victim.arrival).max(0.0));
+                self.outcomes[victim.tag] = Some(Err(Rejection::Shed { by: incoming }));
+                true
+            }
+            Admit::Rejected(e, rejection) => {
+                self.outcomes[e.tag] = Some(Err(rejection));
+                false
+            }
+        }
+    }
+
+    /// Re-admit a recovered entry, charging the requeue handoff to
+    /// shard `charge` (the shard whose failure caused it).
+    fn readmit(&mut self, charge: usize, target: usize, entry: Entry<usize>, t: f64) {
+        if self.admit(target, entry, t) {
+            self.shards[charge]
+                .metrics
+                .record_requeue(self.config.supervisor.requeue_s);
+        }
+    }
+
+    /// Fail shard `s` over: re-route its in-flight (`batch`) and queued
+    /// entries to live ring successors; entries with no survivor
+    /// resolve [`Rejection::ShardFailed`].
+    fn fail_over(&mut self, s: usize, batch: crate::batch::Batch<usize>, t: f64) {
+        self.shards[s].failed = true;
+        self.shards[s].metrics.failed = true;
+        let restarts = self.shards[s].restarts;
+        let queued = self.shards[s].queue.drain();
+        let alive = self.alive();
+        for entry in batch.entries.into_iter().chain(queued) {
+            match self.map.route(&entry.req.shape(), &alive) {
+                Some(target) => self.readmit(s, target, entry, t),
+                None => {
+                    self.shards[s]
+                        .queue
+                        .counters
+                        .reject(RejectKind::ShardFailed);
+                    self.outcomes[entry.tag] =
+                        Some(Err(Rejection::ShardFailed { shard: s, restarts }));
+                }
+            }
+        }
+    }
+
+    /// One dispatch on shard `s` at its free time, with fault
+    /// injection. `ctrl` (present under elastic sharding) gets the
+    /// batch's per-request service time folded into its cost book.
+    fn dispatch(&mut self, s: usize, ctrl: Option<&mut BalanceController>) {
+        let (config, cost) = (self.config, self.cost);
+        let t = self.shards[s].t_free;
+        let depth_frac = self.shards[s].queue.len() as f64 / config.queue_capacity.max(1) as f64;
+        let pop = self.shards[s].queue.pop_batch(t, &config.batch);
+        for e in pop.expired {
+            let deadline = e.req.deadline.expect("expired implies a deadline");
+            self.shards[s].metrics.record_lost((t - e.arrival).max(0.0));
+            self.outcomes[e.tag] = Some(Err(Rejection::DeadlineExpired { deadline, now: t }));
+        }
+        let Some(batch) = pop.batch else { return };
+        let k = self.shards[s].dispatch;
+        self.shards[s].dispatch += 1;
+
+        if config.faults.worker_dies(s, k) {
+            let restart_no = self.shards[s].restarts + 1;
+            if config.supervisor.enabled() && restart_no <= config.supervisor.max_restarts {
+                // Supervisor restart: the dead worker's dispatch re-queues
+                // (the worker was the suspect, attempts stay), the shard
+                // pays the backoff in virtual time.
+                self.shards[s].restarts = restart_no;
+                let backoff = config.supervisor.backoff_s(restart_no);
+                self.shards[s].metrics.record_restart(backoff);
+                for entry in batch.entries {
+                    self.readmit(s, s, entry, t);
+                }
+                self.shards[s].t_free = t + backoff;
+            } else {
+                self.fail_over(s, batch, t);
+            }
+            return;
+        }
+
+        if batch.entries.iter().any(|e| config.faults.poisoned(e.id)) {
+            // Execution panics; the quarantine runs in-thread after one
+            // dispatch overhead's worth of work.
+            if batch.len() == 1 {
+                let entry = batch.entries.into_iter().next().expect("len checked");
+                self.shards[s].metrics.quarantined += 1;
+                self.shards[s].queue.counters.reject(RejectKind::Requeued);
+                self.outcomes[entry.tag] = Some(Err(Rejection::Requeued {
+                    attempts: entry.attempts + 1,
+                }));
+            } else {
+                for mut entry in batch.entries {
+                    entry.attempts += 1;
+                    self.readmit(s, s, entry, t);
+                }
+            }
+            self.shards[s].t_free = t + cost.dispatch_s;
+            return;
+        }
+
+        let peer_failed = self
+            .shards
+            .iter()
+            .enumerate()
+            .any(|(i, sh)| i != s && sh.failed);
+        let mut done = match shard::execute(&mut self.shards[s].cache, &batch) {
+            Ok(done) => done,
+            Err(detail) => {
+                for entry in batch.entries {
+                    self.outcomes[entry.tag] = Some(Err(Rejection::Invalid {
+                        detail: detail.clone(),
+                    }));
+                }
+                return;
+            }
+        };
+        let degradation = shard::degrade_batch(
+            config.degraded,
+            peer_failed,
+            depth_frac,
+            &batch.entries,
+            &mut done.pyramids,
+        );
+        let batch_size = batch.len();
+        let plan_s = if done.cache_hit {
+            0.0
+        } else {
+            cost.plan_s(&batch.shape)
+        };
+        let transform_s = cost.transform_s(&batch.shape) * batch_size as f64;
+        let stall = config.faults.stall_factor(s, k);
+        // Price delivery per response: a degraded response ships only
+        // surviving coefficients.
+        let kept = degradation.iter().fold(0.0, |sum, d| sum + d.kept_frac);
+        let deliver_s = cost.deliver_s_per_request * kept;
+        // Without a stall, keep the association (and so the rounding)
+        // of the committed fault-free rows: no `* 1.0` regrouping, so
+        // they stay byte-identical.
+        let end = if stall == 1.0 {
+            t + cost.dispatch_s + plan_s + transform_s + deliver_s
+        } else {
+            t + cost.dispatch_s + (plan_s + transform_s) * stall + deliver_s
+        };
+        let sh = &mut self.shards[s];
+        sh.metrics.record_batch(
+            t,
+            end,
+            &batch.arrivals(),
+            LaneSplit {
+                dispatch_s: cost.dispatch_s,
+                plan_s: plan_s * stall,
+                transform_s: transform_s * stall,
+                deliver_s,
+            },
+        );
+        sh.metrics.degraded_served += degradation.iter().filter(|d| d.degraded).count() as u64;
+        if let Some(ctrl) = ctrl {
+            // Feed the cost book the per-request service time — the
+            // same signal the live workers feed it.
+            ctrl.observe(
+                shard::shape_key(&batch.shape),
+                (end - t) / batch_size as f64,
+            );
+        }
+        sh.t_free = end;
+        for ((entry, pyramid), d) in batch
+            .entries
+            .into_iter()
+            .zip(done.pyramids)
+            .zip(degradation)
+        {
+            self.outcomes[entry.tag] = Some(Ok(DecomposeResponse {
+                pyramid,
+                cache_hit: done.cache_hit,
+                batch_size,
+                wait_s: (t - entry.arrival).max(0.0),
+                service_s: end - t,
+                degraded: d.degraded,
+                error_bound: d.error_bound,
+            }));
+        }
+    }
+
+    /// Move one already-admitted entry from `from`'s queue into `to`'s.
+    /// Counter-neutral on the door books (the entry was accepted once,
+    /// at its original shard); an idle target's free time advances to
+    /// the migration moment, exactly like [`ShardSide::admit`]'s idle
+    /// rule.
+    fn migrate(&mut self, from: usize, to: usize, entry: Entry<usize>, t: f64) {
+        if self.shards[to].queue.is_empty() {
+            self.shards[to].t_free = self.shards[to].t_free.max(t);
+        }
+        self.shards[to].queue.accept_migrated(entry);
+        self.shards[from].metrics.stolen_out += 1;
+        self.shards[to].metrics.stolen_in += 1;
+    }
+
+    /// One controller step at virtual time `t`: census every slot, ask
+    /// for a decision, apply it as queue surgery + map mutation, log it.
+    fn elastic_step(&mut self, rt: &mut ElasticRt, t: f64) {
+        if !rt.ctrl.ready(t) {
+            return;
+        }
+        let loads: Vec<ShardLoad> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(s, sh)| ShardLoad {
+                active: self.map.is_active(s),
+                failed: sh.failed,
+                depth: sh.queue.len(),
+                free: sh.queue.free(),
+                queued: sh
+                    .queue
+                    .shape_census()
+                    .into_iter()
+                    .map(|(shape, count, movable)| QueuedShape {
+                        key: shard::shape_key(&shape),
+                        shape,
+                        count,
+                        movable,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let Some(action) = rt.ctrl.decide(t, &loads) else {
+            return;
+        };
+        match &action {
+            BalanceAction::Steal { from, to, key, cap } => {
+                let (from, to) = (*from, *to);
+                let cap = (*cap).min(self.shards[to].queue.free());
+                for entry in self.shards[from].queue.take_shape(*key, cap) {
+                    self.migrate(from, to, entry, t);
+                }
+            }
+            BalanceAction::Split { from, to, keys } => {
+                let (from, to) = (*from, *to);
+                self.map.activate(to);
+                rt.activated_at[to] = Some(t);
+                rt.ever_active[to] = true;
+                self.shards[to].t_free = self.shards[to].t_free.max(t);
+                for &key in keys {
+                    self.map.set_override(key, to);
+                    let cap = self.shards[to].queue.free();
+                    for entry in self.shards[from].queue.take_shape(key, cap) {
+                        self.migrate(from, to, entry, t);
+                    }
+                }
+                self.shards[from].metrics.splits += 1;
+            }
+            BalanceAction::Merge { from } => {
+                let from = *from;
+                for key in self.map.overrides_to(from) {
+                    self.map.clear_override(key);
+                }
+                self.map.retire(from);
+                if let Some(t0) = rt.activated_at[from].take() {
+                    rt.active_s[from] += t.max(t0) - t0;
+                    rt.last_end[from] = rt.last_end[from].max(t).max(self.shards[from].t_free);
+                }
+                self.shards[from].metrics.merges += 1;
+                // Drain the retiring queue losslessly back through the
+                // map. The merge threshold keeps this drain tiny
+                // (usually empty); should every routable queue be full
+                // anyway, the entry resolves a typed QueueFull rather
+                // than vanishing.
+                let alive = self.alive();
+                for entry in self.shards[from].queue.drain() {
+                    let routed = self
+                        .map
+                        .route(&entry.req.shape(), &alive)
+                        .filter(|&tgt| self.shards[tgt].queue.free() > 0)
+                        .or_else(|| {
+                            (0..self.shards.len()).find(|&x| {
+                                self.map.is_active(x)
+                                    && !self.shards[x].failed
+                                    && self.shards[x].queue.free() > 0
+                            })
+                        });
+                    match routed {
+                        Some(target) => self.migrate(from, target, entry, t),
+                        None => {
+                            let depth = self.shards[from].queue.len();
+                            self.shards[from]
+                                .queue
+                                .counters
+                                .reject(RejectKind::QueueFull);
+                            self.outcomes[entry.tag] = Some(Err(Rejection::QueueFull { depth }));
+                        }
+                    }
+                }
+            }
+        }
+        rt.actions.push((t, action));
+    }
+
+    /// Close every shard's books at the end of a run. Returns the
+    /// outcome slots, the metrics of every shard that served (base
+    /// shards, then activated reserve slots), and the moment the last
+    /// of them went idle.
+    fn close_books(
+        self,
+        mut rt: Option<&mut ElasticRt>,
+    ) -> (Vec<Option<ServeResult>>, MetricsSnapshot, f64) {
+        let nshards = self.config.shards.max(1);
+        let mut makespan_s: f64 = 0.0;
+        let mut out_shards = Vec::with_capacity(self.shards.len());
+        for (s, mut sh) in self.shards.into_iter().enumerate() {
+            sh.metrics.queue = sh.queue.counters.clone();
+            sh.metrics.absorb_cache(&sh.cache);
+            if s < nshards {
+                makespan_s = makespan_s.max(sh.t_free);
+                sh.metrics.finalize(sh.t_free);
+                out_shards.push(sh.metrics);
+                continue;
+            }
+            // Reserve slots: a slot that never activated has no books
+            // to close (it routed nothing, served nothing) — including
+            // it with completion 0 would misread the whole run as
+            // imbalance. Activation always picks the lowest inactive
+            // slot, so the omitted slots are a suffix and the emitted
+            // indices are stable. An activated slot owes idle time only
+            // over its active windows.
+            let rt = rt.as_mut().expect("reserve slots exist only with elastic");
+            if !rt.ever_active[s] {
+                continue;
+            }
+            let (active_s, end) = match rt.activated_at[s].take() {
+                Some(t0) => {
+                    let end = sh.t_free.max(t0);
+                    (rt.active_s[s] + end - t0, end)
+                }
+                None => (rt.active_s[s], rt.last_end[s]),
+            };
+            makespan_s = makespan_s.max(end);
+            sh.metrics.finalize_active(active_s, end);
+            out_shards.push(sh.metrics);
+        }
+        (
+            self.outcomes,
+            MetricsSnapshot { shards: out_shards },
+            makespan_s,
+        )
+    }
+}
+
+/// Run the service over a timestamped arrival stream (non-decreasing
+/// times, virtual seconds) as one joint multi-shard discrete-event loop
+/// and return every outcome plus the metrics.
 ///
-/// Semantics mirror the live driver event for event:
+/// The configuration's [`crate::faults::ShardFaultPlan`] is injected
+/// with the live driver's semantics, event for event:
 ///
 /// * a worker death scheduled at a dispatch index fires at that shard's
 ///   k-th dispatch; within the restart budget the dispatch's entries
@@ -342,134 +623,75 @@ impl ChaosShard {
 ///   a pressured shard (peer failed, or queue past the high-water
 ///   fraction) is answered with threshold-quantized detail planes and
 ///   the policy's error bound, delivery priced by surviving
-///   coefficients.
+///   coefficients ([`shard::degrade_batch`]).
 ///
-/// With an empty fault plan this reproduces [`run_sim`]'s behavior (the
-/// joint loop and the independent loops order events identically when
-/// no shard ever interacts). Everything is a pure function of
-/// `(config, cost, stream)` — replays are byte-identical.
-pub fn run_chaos(
+/// With [`ServiceConfig::elastic`] the balance controller runs after
+/// every event at that event's virtual time, and its steals, splits
+/// and merges move queued work between shards. With neither faults nor
+/// elastic sharding, no shard ever touches another's work. Everything
+/// is a pure function of `(config, cost, stream)` — replays are
+/// byte-identical.
+pub fn run_sim(
     config: &ServiceConfig,
     cost: &CostModel,
     stream: Vec<(f64, DecomposeRequest)>,
 ) -> SimReport {
-    let nshards = config.shards.max(1);
     let total = config.total_slots();
-    config
-        .faults
-        .validate(total)
-        .expect("invalid fault plan for this shard count");
+    let mut side = ShardSide::new(config, cost, total, stream.len());
     if let Some(e) = &config.elastic {
         e.validate().expect("invalid elastic policy");
     }
-    let mut map = ShardMap::new(nshards, total - nshards);
     let mut rt: Option<ElasticRt> = config.elastic.map(|policy| ElasticRt::new(policy, total));
-    let mut outcomes: Vec<Option<ServeResult>> = (0..stream.len()).map(|_| None).collect();
-    let mut shards: Vec<ChaosShard> = (0..total).map(|_| ChaosShard::new(config)).collect();
     let mut arrivals: VecDeque<(f64, usize, DecomposeRequest)> = VecDeque::new();
     let mut last_t = f64::NEG_INFINITY;
     for (ix, (t, req)) in stream.into_iter().enumerate() {
         assert!(t >= last_t, "arrival stream must be sorted by time");
         last_t = t;
-        if let Err(rejection) = req.validate() {
-            let home = shard::shard_of(&req.shape(), nshards);
-            shards[home].queue.counters.reject(RejectKind::Invalid);
-            outcomes[ix] = Some(Err(rejection));
-            continue;
+        if let Some(req) = side.screen(ix, req) {
+            arrivals.push_back((t, ix, req));
         }
-        arrivals.push_back((t, ix, req));
     }
 
     loop {
-        // The next dispatch moment across live shards with queued work.
-        let next_dispatch = shards
-            .iter()
-            .enumerate()
-            .filter(|(_, sh)| !sh.failed && !sh.queue.is_empty())
-            .map(|(s, sh)| (sh.t_free, s))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let now = match (arrivals.front(), next_dispatch) {
-            (None, None) => break,
-            // Arrivals up to the dispatch moment land first, at their
-            // own timestamps — the live submitters' ordering.
-            (Some(&(ta, _, _)), Some((td, _))) if ta <= td => {
-                let (ta, ix, req) = arrivals.pop_front().expect("front just checked");
-                chaos_arrival(&mut shards, &map, ta, ix, req, &mut outcomes);
-                ta
-            }
-            (Some(_), None) => {
-                let (ta, ix, req) = arrivals.pop_front().expect("front just checked");
-                chaos_arrival(&mut shards, &map, ta, ix, req, &mut outcomes);
-                ta
-            }
-            (_, Some((td, s))) => {
-                chaos_dispatch(
-                    &mut shards,
-                    &map,
-                    config,
-                    cost,
-                    s,
-                    &mut outcomes,
-                    rt.as_mut().map(|r| &mut r.ctrl),
-                );
-                td
-            }
+        let next_dispatch = side.next_dispatch();
+        // Arrivals up to the dispatch moment land first, at their own
+        // timestamps — the live submitters' ordering.
+        let arrival_first = arrivals
+            .front()
+            .is_some_and(|&(ta, _, _)| next_dispatch.is_none_or(|(td, _)| ta <= td));
+        let now = if arrival_first {
+            let (ta, ix, req) = arrivals.pop_front().expect("front just checked");
+            side.arrive(ta, ix, req);
+            ta
+        } else if let Some((td, s)) = next_dispatch {
+            side.dispatch(s, rt.as_mut().map(|r| &mut r.ctrl));
+            td
+        } else {
+            break;
         };
         // The controller runs after every event, at that event's
         // virtual time — the sim-side mirror of the live driver's
         // submit-path tick.
         if let Some(rt) = rt.as_mut() {
-            elastic_step(&mut shards, &mut map, rt, now, &mut outcomes);
+            side.elastic_step(rt, now);
         }
     }
 
-    let mut makespan_s: f64 = 0.0;
-    let mut out_shards = Vec::with_capacity(total);
-    for (s, mut sh) in shards.into_iter().enumerate() {
-        sh.metrics.queue = sh.queue.counters.clone();
-        sh.metrics.absorb_cache(&sh.cache);
-        if s < nshards {
-            makespan_s = makespan_s.max(sh.t_free);
-            sh.metrics.finalize(sh.t_free);
-            out_shards.push(sh.metrics);
-            continue;
-        }
-        // Reserve slots: a slot that never activated has no books to
-        // close (it routed nothing, served nothing) — including it
-        // with completion 0 would misread the whole run as imbalance.
-        // Activation always picks the lowest inactive slot, so the
-        // omitted slots are a suffix and the emitted indices are
-        // stable. An activated slot owes idle time only over its
-        // active windows.
-        let rt = rt.as_mut().expect("reserve slots exist only with elastic");
-        if !rt.ever_active[s] {
-            continue;
-        }
-        let (active_s, end) = match rt.activated_at[s].take() {
-            Some(t0) => {
-                let end = sh.t_free.max(t0);
-                (rt.active_s[s] + end - t0, end)
-            }
-            None => (rt.active_s[s], rt.last_end[s]),
-        };
-        makespan_s = makespan_s.max(end);
-        sh.metrics.finalize_active(active_s, end);
-        out_shards.push(sh.metrics);
-    }
+    let (outcomes, metrics, makespan_s) = side.close_books(rt.as_mut());
     SimReport {
         outcomes: outcomes
             .into_iter()
             .map(|o| o.expect("every request terminates in exactly one outcome"))
             .collect(),
-        metrics: MetricsSnapshot { shards: out_shards },
+        metrics,
         makespan_s,
         actions: rt.map(|r| r.actions).unwrap_or_default(),
     }
 }
 
-/// The elastic control plane's runtime state inside the chaos loop:
-/// the controller itself, per-slot activation windows (for honest
-/// imbalance accounting of reserve-born shards), and the decision log.
+/// The elastic control plane's runtime state inside [`run_sim`]: the
+/// controller itself, per-slot activation windows (for honest imbalance
+/// accounting of reserve-born shards), and the decision log.
 struct ElasticRt {
     ctrl: BalanceController,
     /// Start of the slot's current activation window, if active now.
@@ -492,383 +714,6 @@ impl ElasticRt {
             last_end: vec![0.0; total],
             ever_active: vec![false; total],
             actions: Vec::new(),
-        }
-    }
-}
-
-/// Move one already-admitted entry from `from`'s queue into `to`'s.
-/// Counter-neutral on the door books (the entry was accepted once, at
-/// its original shard); an idle target's free time advances to the
-/// migration moment, exactly like [`chaos_admit`]'s idle rule.
-fn elastic_migrate(shards: &mut [ChaosShard], from: usize, to: usize, entry: Entry<usize>, t: f64) {
-    if shards[to].queue.is_empty() {
-        shards[to].t_free = shards[to].t_free.max(t);
-    }
-    shards[to].queue.accept_migrated(entry);
-    shards[from].metrics.stolen_out += 1;
-    shards[to].metrics.stolen_in += 1;
-}
-
-/// One controller step at virtual time `t`: census every slot, ask for
-/// a decision, apply it as queue surgery + map mutation, log it.
-fn elastic_step(
-    shards: &mut [ChaosShard],
-    map: &mut ShardMap,
-    rt: &mut ElasticRt,
-    t: f64,
-    outcomes: &mut [Option<ServeResult>],
-) {
-    if !rt.ctrl.ready(t) {
-        return;
-    }
-    let loads: Vec<ShardLoad> = shards
-        .iter()
-        .enumerate()
-        .map(|(s, sh)| ShardLoad {
-            active: map.is_active(s),
-            failed: sh.failed,
-            depth: sh.queue.len(),
-            free: sh.queue.free(),
-            queued: sh
-                .queue
-                .shape_census()
-                .into_iter()
-                .map(|(shape, count, movable)| QueuedShape {
-                    key: shard::shape_key(&shape),
-                    shape,
-                    count,
-                    movable,
-                })
-                .collect(),
-        })
-        .collect();
-    let Some(action) = rt.ctrl.decide(t, &loads) else {
-        return;
-    };
-    match &action {
-        BalanceAction::Steal { from, to, key, cap } => {
-            let (from, to) = (*from, *to);
-            let cap = (*cap).min(shards[to].queue.free());
-            for entry in shards[from].queue.take_shape(*key, cap) {
-                elastic_migrate(shards, from, to, entry, t);
-            }
-        }
-        BalanceAction::Split { from, to, keys } => {
-            let (from, to) = (*from, *to);
-            map.activate(to);
-            rt.activated_at[to] = Some(t);
-            rt.ever_active[to] = true;
-            shards[to].t_free = shards[to].t_free.max(t);
-            for &key in keys {
-                map.set_override(key, to);
-                let cap = shards[to].queue.free();
-                for entry in shards[from].queue.take_shape(key, cap) {
-                    elastic_migrate(shards, from, to, entry, t);
-                }
-            }
-            shards[from].metrics.splits += 1;
-        }
-        BalanceAction::Merge { from } => {
-            let from = *from;
-            for key in map.overrides_to(from) {
-                map.clear_override(key);
-            }
-            map.retire(from);
-            if let Some(t0) = rt.activated_at[from].take() {
-                rt.active_s[from] += t.max(t0) - t0;
-                rt.last_end[from] = rt.last_end[from].max(t).max(shards[from].t_free);
-            }
-            shards[from].metrics.merges += 1;
-            // Drain the retiring queue losslessly back through the map.
-            // The merge threshold keeps this drain tiny (usually
-            // empty); should every routable queue be full anyway, the
-            // entry resolves a typed QueueFull rather than vanishing.
-            let alive: Vec<bool> = shards.iter().map(|sh| !sh.failed).collect();
-            for entry in shards[from].queue.drain() {
-                let routed = map
-                    .route(&entry.req.shape(), &alive)
-                    .filter(|&tgt| shards[tgt].queue.free() > 0)
-                    .or_else(|| {
-                        (0..shards.len()).find(|&x| {
-                            map.is_active(x) && !shards[x].failed && shards[x].queue.free() > 0
-                        })
-                    });
-                match routed {
-                    Some(target) => elastic_migrate(shards, from, target, entry, t),
-                    None => {
-                        let depth = shards[from].queue.len();
-                        shards[from].queue.counters.reject(RejectKind::QueueFull);
-                        outcomes[entry.tag] = Some(Err(Rejection::QueueFull { depth }));
-                    }
-                }
-            }
-        }
-    }
-    rt.actions.push((t, action));
-}
-
-/// Route and admit one external arrival at its own timestamp. Routing
-/// goes through the [`ShardMap`] (overrides, active set, ring
-/// successors); rejections are accounted to the shape's stable FNV
-/// home, which elastic actions never move.
-fn chaos_arrival(
-    shards: &mut [ChaosShard],
-    map: &ShardMap,
-    t: f64,
-    ix: usize,
-    req: DecomposeRequest,
-    outcomes: &mut [Option<ServeResult>],
-) {
-    let shape = req.shape();
-    let home = map.home(&shape);
-    let alive: Vec<bool> = shards.iter().map(|sh| !sh.failed).collect();
-    let Some(target) = map.route(&shape, &alive) else {
-        let restarts = shards[home].restarts;
-        shards[home].queue.counters.reject(RejectKind::ShardFailed);
-        outcomes[ix] = Some(Err(Rejection::ShardFailed {
-            shard: home,
-            restarts,
-        }));
-        return;
-    };
-    let entry = Entry {
-        id: ix as u64,
-        arrival: t,
-        req,
-        attempts: 0,
-        tag: ix,
-    };
-    chaos_admit(shards, target, entry, t, outcomes);
-}
-
-/// Admit one entry into `target`'s queue at virtual time `t`, resolving
-/// shed victims and refusals. An idle shard's free time advances to the
-/// admission time (it cannot dispatch work before the work exists).
-fn chaos_admit(
-    shards: &mut [ChaosShard],
-    target: usize,
-    entry: Entry<usize>,
-    t: f64,
-    outcomes: &mut [Option<ServeResult>],
-) -> bool {
-    let incoming = entry.req.priority;
-    let sh = &mut shards[target];
-    if sh.queue.is_empty() {
-        sh.t_free = sh.t_free.max(t);
-    }
-    match sh.queue.admit(t, entry) {
-        Admit::Accepted => true,
-        Admit::AcceptedShedding(victim) => {
-            sh.metrics.record_lost((t - victim.arrival).max(0.0));
-            outcomes[victim.tag] = Some(Err(Rejection::Shed { by: incoming }));
-            true
-        }
-        Admit::Rejected(e, rejection) => {
-            outcomes[e.tag] = Some(Err(rejection));
-            false
-        }
-    }
-}
-
-/// Re-admit a recovered entry, charging the requeue handoff to shard
-/// `charge` (the shard whose failure caused it).
-fn chaos_readmit(
-    shards: &mut [ChaosShard],
-    charge: usize,
-    target: usize,
-    entry: Entry<usize>,
-    config: &ServiceConfig,
-    t: f64,
-    outcomes: &mut [Option<ServeResult>],
-) {
-    if chaos_admit(shards, target, entry, t, outcomes) {
-        shards[charge]
-            .metrics
-            .record_requeue(config.supervisor.requeue_s);
-    }
-}
-
-/// Fail shard `s` over: re-route its in-flight (`batch`) and queued
-/// entries to live ring successors; entries with no survivor resolve
-/// [`Rejection::ShardFailed`].
-fn chaos_fail_over(
-    shards: &mut [ChaosShard],
-    map: &ShardMap,
-    s: usize,
-    batch: Option<crate::batch::Batch<usize>>,
-    config: &ServiceConfig,
-    t: f64,
-    outcomes: &mut [Option<ServeResult>],
-) {
-    shards[s].failed = true;
-    shards[s].metrics.failed = true;
-    let restarts = shards[s].restarts;
-    let queued = shards[s].queue.drain();
-    let alive: Vec<bool> = shards.iter().map(|sh| !sh.failed).collect();
-    for entry in batch.into_iter().flat_map(|b| b.entries).chain(queued) {
-        match map.route(&entry.req.shape(), &alive) {
-            Some(target) => chaos_readmit(shards, s, target, entry, config, t, outcomes),
-            None => {
-                shards[s].queue.counters.reject(RejectKind::ShardFailed);
-                outcomes[entry.tag] = Some(Err(Rejection::ShardFailed { shard: s, restarts }));
-            }
-        }
-    }
-}
-
-/// One dispatch on shard `s` at its free time, with fault injection.
-/// `ctrl` (present under elastic sharding) gets the batch's measured
-/// per-request service time folded into its cost book.
-#[allow(clippy::too_many_arguments)]
-fn chaos_dispatch(
-    shards: &mut [ChaosShard],
-    map: &ShardMap,
-    config: &ServiceConfig,
-    cost: &CostModel,
-    s: usize,
-    outcomes: &mut [Option<ServeResult>],
-    ctrl: Option<&mut BalanceController>,
-) {
-    let t = shards[s].t_free;
-    let depth_frac = shards[s].queue.len() as f64 / config.queue_capacity.max(1) as f64;
-    let pop = shards[s].queue.pop_batch(t, &config.batch);
-    for e in pop.expired {
-        let deadline = e.req.deadline.expect("expired implies a deadline");
-        shards[s].metrics.record_lost((t - e.arrival).max(0.0));
-        outcomes[e.tag] = Some(Err(Rejection::DeadlineExpired { deadline, now: t }));
-    }
-    let Some(batch) = pop.batch else { return };
-    let k = shards[s].dispatch;
-    shards[s].dispatch += 1;
-
-    if config.faults.worker_dies(s, k) {
-        let restart_no = shards[s].restarts + 1;
-        if config.supervisor.enabled() && restart_no <= config.supervisor.max_restarts {
-            // Supervisor restart: the dead worker's dispatch re-queues
-            // (the worker was the suspect, attempts stay), the shard
-            // pays the backoff in virtual time.
-            shards[s].restarts = restart_no;
-            let backoff = config.supervisor.backoff_s(restart_no);
-            shards[s].metrics.record_restart(backoff);
-            for entry in batch.entries {
-                chaos_readmit(shards, s, s, entry, config, t, outcomes);
-            }
-            shards[s].t_free = t + backoff;
-        } else {
-            chaos_fail_over(shards, map, s, Some(batch), config, t, outcomes);
-        }
-        return;
-    }
-
-    if batch.entries.iter().any(|e| config.faults.poisoned(e.id)) {
-        // Execution panics; the quarantine runs in-thread after one
-        // dispatch overhead's worth of work.
-        if batch.len() == 1 {
-            let entry = batch.entries.into_iter().next().expect("len checked");
-            shards[s].metrics.quarantined += 1;
-            shards[s].queue.counters.reject(RejectKind::Requeued);
-            outcomes[entry.tag] = Some(Err(Rejection::Requeued {
-                attempts: entry.attempts + 1,
-            }));
-        } else {
-            for mut entry in batch.entries {
-                entry.attempts += 1;
-                chaos_readmit(shards, s, s, entry, config, t, outcomes);
-            }
-        }
-        shards[s].t_free = t + cost.dispatch_s;
-        return;
-    }
-
-    let peer_failed = shards.iter().enumerate().any(|(i, sh)| i != s && sh.failed);
-    let degrade = config
-        .degraded
-        .filter(|d| peer_failed || depth_frac >= d.queue_high_water);
-    match shard::execute(&mut shards[s].cache, &batch) {
-        Ok(done) => {
-            let batch_size = batch.len();
-            let shape_key = shard::shape_key(&batch.shape);
-            let plan_s = if done.cache_hit {
-                0.0
-            } else {
-                cost.plan_s(&batch.shape)
-            };
-            let transform_s = cost.transform_s(&batch.shape) * batch_size as f64;
-            let stall = config.faults.stall_factor(s, k);
-            // Price delivery per response: a degraded response ships
-            // only surviving coefficients.
-            let mut responses = Vec::with_capacity(batch_size);
-            let mut frac_sum = 0.0;
-            let mut degraded_count = 0u64;
-            for (entry, mut pyramid) in batch.entries.into_iter().zip(done.pyramids) {
-                let mut error_bound = 0.0;
-                let mut degraded = false;
-                let mut frac = 1.0;
-                if let Some(d) = degrade {
-                    if entry.req.priority < Priority::Interactive {
-                        let total_detail: usize = pyramid
-                            .detail
-                            .iter()
-                            .map(|b| b.lh.data().len() + b.hl.data().len() + b.hh.data().len())
-                            .sum();
-                        let approx_len = pyramid.approx.data().len();
-                        let kept = shard::degrade_pyramid(&mut pyramid, &d);
-                        frac =
-                            (approx_len + kept) as f64 / (approx_len + total_detail).max(1) as f64;
-                        error_bound = d.error_bound();
-                        degraded = true;
-                        degraded_count += 1;
-                    }
-                }
-                frac_sum += frac;
-                responses.push((entry, pyramid, degraded, error_bound));
-            }
-            let deliver_s = cost.deliver_s_per_request * frac_sum;
-            // Keep the fault-free arithmetic bit-identical to
-            // `run_sim`'s (same association, no `* 1.0` rounding), so
-            // an empty fault plan reproduces it exactly.
-            let end = if stall == 1.0 {
-                t + cost.dispatch_s + plan_s + transform_s + deliver_s
-            } else {
-                t + cost.dispatch_s + (plan_s + transform_s) * stall + deliver_s
-            };
-            let arrivals: Vec<f64> = responses.iter().map(|(e, ..)| e.arrival).collect();
-            shards[s].metrics.record_batch(
-                t,
-                end,
-                &arrivals,
-                LaneSplit {
-                    dispatch_s: cost.dispatch_s,
-                    plan_s: plan_s * stall,
-                    transform_s: transform_s * stall,
-                    deliver_s,
-                },
-            );
-            shards[s].metrics.degraded_served += degraded_count;
-            if let Some(ctrl) = ctrl {
-                // Feed the cost book the measured per-request service
-                // time — the same signal the live workers feed it.
-                ctrl.observe(shape_key, (end - t) / batch_size as f64);
-            }
-            for (entry, pyramid, degraded, error_bound) in responses {
-                outcomes[entry.tag] = Some(Ok(DecomposeResponse {
-                    pyramid,
-                    cache_hit: done.cache_hit,
-                    batch_size,
-                    wait_s: (t - entry.arrival).max(0.0),
-                    service_s: end - t,
-                    degraded,
-                    error_bound,
-                }));
-            }
-            shards[s].t_free = end;
-        }
-        Err(detail) => {
-            for entry in batch.entries {
-                outcomes[entry.tag] = Some(Err(Rejection::Invalid {
-                    detail: detail.clone(),
-                }));
-            }
         }
     }
 }
@@ -1067,7 +912,7 @@ pub struct ClosedLoopReport {
     /// Client-observed outcome per request, indexed
     /// `client * reqs_per_client + k`.
     pub outcomes: Vec<ClientOutcome>,
-    /// Server-side metrics (the same shape [`run_chaos`] reports).
+    /// Server-side metrics (the same shape [`run_sim`] reports).
     pub metrics: MetricsSnapshot,
     /// Client-observed end-to-end latency per *delivered* request:
     /// first submit to response in hand, across every retry.
@@ -1285,6 +1130,56 @@ fn send_until_arrives(
     }
 }
 
+/// Recover from a lost response frame: give up once the attempt budget
+/// is spent, otherwise back off, reconnect and resend the request,
+/// which the server answers by replaying its recorded resolution. `Ok`
+/// carries the moment the resend reaches the server, `Err` the give-up
+/// time and the error the client last saw.
+fn replay_after_loss(
+    cl: &ClosedLoopConfig,
+    sc: &mut SimClient,
+    conn: u64,
+    (t_lost, err): (f64, TransportError),
+    req_cost: f64,
+    acc: &mut WireLedger,
+) -> Result<f64, (f64, TransportError)> {
+    if sc.attempts >= cl.retry.max_attempts {
+        return Err((t_lost, err));
+    }
+    let t_re = pay_retry(cl, sc, t_lost, acc);
+    let t_arr = send_until_arrives(cl, sc, conn, t_re, req_cost, acc)?;
+    acc.replays += 1;
+    Ok(t_arr)
+}
+
+/// The client's stop check after each progressive frame: once the
+/// running bound meets its tolerance, or the on-wire bytes it has
+/// received reach its budget, an incomplete sequence is cancelled. The
+/// Cancel consumes one client-to-server frame index priced as an empty
+/// frame. Returns whether the client cancelled.
+fn cancel_if_satisfied(
+    cl: &ClosedLoopConfig,
+    ps: &ProgressiveSim,
+    sc: &mut SimClient,
+    reasm: &Reassembler,
+    got_bytes: u64,
+    acc: &mut WireLedger,
+) -> bool {
+    let tolerance_met = ps.tolerance.is_some_and(|tol| reasm.bound() <= tol);
+    let over_budget = ps.byte_budget.is_some_and(|b| got_bytes >= b as u64);
+    if !(tolerance_met || over_budget) || reasm.complete() {
+        return false;
+    }
+    sc.c2s += 1; // Cancel frame
+    acc.frames += 1;
+    acc.comm_s += cl.wire.frame_payload_s(0.0);
+    acc.cancels += 1;
+    if !tolerance_met {
+        acc.budget_stops += 1;
+    }
+    true
+}
+
 /// Deliver a resolved result to its client, replaying on response-path
 /// losses: each failed delivery costs a backoff + reconnect + request
 /// resend, and the server answers the resend from its resolution book
@@ -1321,92 +1216,44 @@ fn deliver_result(
     if let (Some(ps), Ok(resp)) = (&cl.progressive, res) {
         let (header, planes) =
             split_response(resp, ps.codec).expect("validated codec splits any response");
-        let hbytes = encode_progressive_header(0, &header)
-            .expect("header always frames")
-            .payload
-            .len() as u64;
-        let pbytes: Vec<u64> = planes
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                encode_progressive_plane(0, p, i + 1 < planes.len())
-                    .expect("planes always frame")
-                    .payload
-                    .len() as u64
-            })
-            .collect();
-        // On-wire bytes delivered this attempt (framing included), the
-        // same quantity the live client's byte-budget predicate sees.
-        let wire_len = |payload: u64| payload + (wire::HEADER_LEN + wire::TRAILER_LEN) as u64;
+        // Payload bytes of the header frame, then of each plane frame.
+        let frame_bytes: Vec<u64> = std::iter::once(
+            encode_progressive_header(0, &header)
+                .expect("header always frames")
+                .payload
+                .len() as u64,
+        )
+        .chain(planes.iter().enumerate().map(|(i, p)| {
+            encode_progressive_plane(0, p, i + 1 < planes.len())
+                .expect("planes always frame")
+                .payload
+                .len() as u64
+        }))
+        .collect();
         let mut t = t_res;
         'attempt: loop {
             let mut reasm = Reassembler::new(header.clone()).expect("header geometry is valid");
+            // On-wire bytes delivered this attempt (framing included),
+            // the same quantity the live client's byte-budget predicate
+            // sees.
             let mut got_bytes = 0u64;
-            acc.response_bytes += hbytes;
-            match recv_half(cl, sc, conn, t, cl.wire.frame_payload_s(hbytes as f64), acc) {
-                RecvHalf::Delivered(td) => {
-                    t = td;
-                    got_bytes += wire_len(hbytes);
-                }
-                RecvHalf::Lost(tl, err) => {
-                    if sc.attempts >= cl.retry.max_attempts {
-                        return Err((tl, err));
-                    }
-                    let t_re = pay_retry(cl, sc, tl, acc);
-                    let ta = send_until_arrives(cl, sc, conn, t_re, req_cost, acc)?;
-                    acc.replays += 1;
-                    t = ta;
-                    continue 'attempt;
-                }
-            }
-            let tolerance_met = |r: &Reassembler| ps.tolerance.is_some_and(|tol| r.bound() <= tol);
-            let over_budget = |got: u64| ps.byte_budget.is_some_and(|b| got >= b as u64);
-            if (tolerance_met(&reasm) || over_budget(got_bytes)) && !reasm.complete() {
-                sc.c2s += 1; // Cancel frame
-                acc.frames += 1;
-                acc.comm_s += cl.wire.frame_payload_s(0.0);
-                acc.cancels += 1;
-                if !tolerance_met(&reasm) {
-                    acc.budget_stops += 1;
-                }
-                return Ok((t, Ok(reasm.into_response())));
-            }
-            for (j, plane) in planes.iter().enumerate() {
-                acc.response_bytes += pbytes[j];
-                match recv_half(
-                    cl,
-                    sc,
-                    conn,
-                    t,
-                    cl.wire.frame_payload_s(pbytes[j] as f64),
-                    acc,
-                ) {
-                    RecvHalf::Delivered(td) => {
-                        t = td;
-                        got_bytes += wire_len(pbytes[j]);
-                        reasm.apply(plane).expect("planes fit their header");
-                        acc.planes += 1;
-                        if (tolerance_met(&reasm) || over_budget(got_bytes)) && !reasm.complete() {
-                            sc.c2s += 1; // Cancel frame
-                            acc.frames += 1;
-                            acc.comm_s += cl.wire.frame_payload_s(0.0);
-                            acc.cancels += 1;
-                            if !tolerance_met(&reasm) {
-                                acc.budget_stops += 1;
-                            }
-                            return Ok((t, Ok(reasm.into_response())));
-                        }
-                    }
+            for (j, &bytes) in frame_bytes.iter().enumerate() {
+                acc.response_bytes += bytes;
+                let one_way = cl.wire.frame_payload_s(bytes as f64);
+                match recv_half(cl, sc, conn, t, one_way, acc) {
+                    RecvHalf::Delivered(td) => t = td,
                     RecvHalf::Lost(tl, err) => {
-                        if sc.attempts >= cl.retry.max_attempts {
-                            return Err((tl, err));
-                        }
-                        let t_re = pay_retry(cl, sc, tl, acc);
-                        let ta = send_until_arrives(cl, sc, conn, t_re, req_cost, acc)?;
-                        acc.replays += 1;
-                        t = ta;
+                        t = replay_after_loss(cl, sc, conn, (tl, err), req_cost, acc)?;
                         continue 'attempt;
                     }
+                }
+                got_bytes += bytes + (wire::HEADER_LEN + wire::TRAILER_LEN) as u64;
+                if let Some(plane) = j.checked_sub(1).map(|i| &planes[i]) {
+                    reasm.apply(plane).expect("planes fit their header");
+                    acc.planes += 1;
+                }
+                if cancel_if_satisfied(cl, ps, sc, &reasm, got_bytes, acc) {
+                    break;
                 }
             }
             return Ok((t, Ok(reasm.into_response())));
@@ -1423,13 +1270,7 @@ fn deliver_result(
         match recv_half(cl, sc, conn, t, one_way, acc) {
             RecvHalf::Delivered(td) => return Ok((td, res.clone())),
             RecvHalf::Lost(tl, err) => {
-                if sc.attempts >= cl.retry.max_attempts {
-                    return Err((tl, err));
-                }
-                let t_re = pay_retry(cl, sc, tl, acc);
-                let ta = send_until_arrives(cl, sc, conn, t_re, req_cost, acc)?;
-                acc.replays += 1;
-                t = ta;
+                t = replay_after_loss(cl, sc, conn, (tl, err), req_cost, acc)?;
             }
         }
     }
@@ -1512,7 +1353,7 @@ fn drain_resolutions(
 /// resolution — never by re-executing, exactly the live dedup book's
 /// contract.
 ///
-/// The server side is the same joint event machinery as [`run_chaos`],
+/// The server side is the same shard-side event machinery as [`run_sim`],
 /// so the configuration's [`crate::faults::ShardFaultPlan`] applies:
 /// worker kills, restart backoff, failover, poisoned batches, and
 /// degraded delivery all compose with wire faults. Everything is a
@@ -1526,11 +1367,11 @@ pub fn run_closed_loop(
     cl: &ClosedLoopConfig,
     requests: Vec<DecomposeRequest>,
 ) -> ClosedLoopReport {
-    let nshards = config.shards.max(1);
-    config
-        .faults
-        .validate(nshards)
-        .expect("invalid fault plan for this shard count");
+    // The closed-loop simulator models the wire, not the elastic
+    // control plane: there are no reserve slots, routing is the static
+    // map (identical to legacy ring routing), and any configured
+    // elastic policy is ignored.
+    let mut side = ShardSide::new(config, cost, config.shards.max(1), requests.len());
     cl.validate().expect("invalid closed-loop config");
     assert_eq!(
         requests.len(),
@@ -1541,13 +1382,7 @@ pub fn run_closed_loop(
     let n = requests.len();
     let shapes: Vec<PlanShape> = requests.iter().map(|r| r.shape()).collect();
     let mut pool: Vec<Option<DecomposeRequest>> = requests.into_iter().map(Some).collect();
-    let mut outcomes: Vec<Option<ServeResult>> = (0..n).map(|_| None).collect();
     let mut client_out: Vec<Option<ClientOutcome>> = (0..n).map(|_| None).collect();
-    let mut shards: Vec<ChaosShard> = (0..nshards).map(|_| ChaosShard::new(config)).collect();
-    // The closed-loop simulator models the wire, not the elastic
-    // control plane: routing is the static map (identical to legacy
-    // ring routing), and any configured elastic policy is ignored.
-    let map = ShardMap::new(nshards, 0);
     let mut latency = Histogram::default();
     let mut acc = WireLedger::default();
     let mut last_delivery: f64 = 0.0;
@@ -1592,12 +1427,7 @@ pub fn run_closed_loop(
             .enumerate()
             .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0).then(a.1 .1.cmp(&b.1 .1)))
             .map(|(pos, &(t, _, _))| (t, pos));
-        let next_dispatch = shards
-            .iter()
-            .enumerate()
-            .filter(|(_, sh)| !sh.failed && !sh.queue.is_empty())
-            .map(|(s, sh)| (sh.t_free, s))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let next_dispatch = side.next_dispatch();
 
         let ts = next_submit.map(|(t, _)| t).unwrap_or(f64::INFINITY);
         let ta = next_arrival.map(|(t, _)| t).unwrap_or(f64::INFINITY);
@@ -1630,39 +1460,27 @@ pub fn run_closed_loop(
                     advance_client(cl, &mut clients[c], &mut next_action[c], tl);
                 }
             }
-        } else if ta <= td {
-            // A request frame reaches the service.
-            let (_, pos) = next_arrival.expect("ta finite implies an arrival");
-            let (t, _, ix) = wire_in.remove(pos);
-            let req = pool[ix].take().expect("each request arrives once");
-            if let Err(rejection) = req.validate() {
-                let home = shard::shard_of(&req.shape(), nshards);
-                shards[home].queue.counters.reject(RejectKind::Invalid);
-                outcomes[ix] = Some(Err(rejection));
-            } else {
-                chaos_arrival(&mut shards, &map, t, ix, req, &mut outcomes);
-            }
-            drain_resolutions(
-                cl,
-                &shapes,
-                &mut clients,
-                &mut next_action,
-                &outcomes,
-                &mut client_out,
-                &mut latency,
-                &mut acc,
-                &mut last_delivery,
-                t,
-            );
         } else {
-            let (t, s) = next_dispatch.expect("td finite implies a dispatch");
-            chaos_dispatch(&mut shards, &map, config, cost, s, &mut outcomes, None);
+            let t = if ta <= td {
+                // A request frame reaches the service.
+                let (_, pos) = next_arrival.expect("ta finite implies an arrival");
+                let (t, _, ix) = wire_in.remove(pos);
+                let req = pool[ix].take().expect("each request arrives once");
+                if let Some(req) = side.screen(ix, req) {
+                    side.arrive(t, ix, req);
+                }
+                t
+            } else {
+                let (t, s) = next_dispatch.expect("td finite implies a dispatch");
+                side.dispatch(s, None);
+                t
+            };
             drain_resolutions(
                 cl,
                 &shapes,
                 &mut clients,
                 &mut next_action,
-                &outcomes,
+                &side.outcomes,
                 &mut client_out,
                 &mut latency,
                 &mut acc,
@@ -1672,23 +1490,15 @@ pub fn run_closed_loop(
         }
     }
 
-    let mut makespan_s = last_delivery;
-    let mut out_shards = Vec::with_capacity(nshards);
-    for mut sh in shards {
-        makespan_s = makespan_s.max(sh.t_free);
-        sh.metrics.queue = sh.queue.counters.clone();
-        sh.metrics.absorb_cache(&sh.cache);
-        sh.metrics.finalize(sh.t_free);
-        out_shards.push(sh.metrics);
-    }
+    let (_, metrics, shards_idle_at) = side.close_books(None);
     ClosedLoopReport {
         outcomes: client_out
             .into_iter()
             .map(|o| o.expect("every request terminates at its client"))
             .collect(),
-        metrics: MetricsSnapshot { shards: out_shards },
+        metrics,
         latency,
-        makespan_s,
+        makespan_s: last_delivery.max(shards_idle_at),
         comm_s: acc.comm_s,
         fault_recovery_s: acc.fault_s,
         retries: acc.retries,

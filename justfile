@@ -4,10 +4,12 @@
 build:
     cargo build --release
 
-# The tier-1 gate: release build plus the full test suite.
+# The tier-1 gate: release build plus the root package's tests, then
+# every workspace crate's tests.
 check:
     cargo build --release
     cargo test -q
+    cargo test --workspace -q
 
 # Lints as CI runs them.
 lint:

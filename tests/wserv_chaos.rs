@@ -12,7 +12,7 @@
 //!    caller-visible panic: supervised shards restart or fail over;
 //!    unsupervised deaths become `ServiceError::WorkerPanicked` at
 //!    shutdown with every stranded request resolved `ShardFailed`.
-//! 3. **Deterministic replay.** The chaos simulator is a pure function
+//! 3. **Deterministic replay.** The simulator is a pure function
 //!    of `(config, cost, stream)` — same seed, byte-identical run.
 //! 4. **Asserted degradation.** A degraded response's detail planes
 //!    deviate from the exact oracle by at most its carried
@@ -21,7 +21,7 @@
 use dwt::engine::PlanShape;
 use dwt::{dwt2d, Boundary, FilterBank, Matrix, Pyramid};
 use proptest::prelude::*;
-use wserv::sim::{run_chaos, run_sim, CostModel, SimReport};
+use wserv::sim::{run_sim, CostModel, SimReport};
 use wserv::{
     DecomposeRequest, DegradedPolicy, Priority, RejectKind, Rejection, ServiceConfig, ServiceError,
     ShardFaultPlan, SupervisorPolicy, WaveletService,
@@ -422,19 +422,27 @@ fn degraded_mode_serves_bounded_error_under_pressure() {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic chaos simulator
+// Deterministic simulator under faults
 // ---------------------------------------------------------------------
 
-/// With an empty fault plan the joint chaos event loop reproduces the
-/// independent-shard simulator exactly.
+/// The fault machinery has no side effects while no fault fires: a
+/// plan whose only crash is scheduled past the last dispatch any shard
+/// can reach (each dispatch serves at least one request) reproduces
+/// the empty plan's run exactly.
 #[test]
-fn chaos_sim_with_empty_plan_matches_the_fault_free_sim() {
+fn armed_crash_that_never_fires_matches_the_empty_plan() {
+    let n = 80;
     let cfg = ServiceConfig::default()
         .with_shards(3)
         .with_queue_capacity(8);
+    let armed_plan = ShardFaultPlan::none().with_shard_crash(1, n as u64);
+    assert!(!armed_plan.is_empty());
+    let armed = cfg.clone().with_faults(armed_plan);
     let cost = CostModel::default();
-    let a = run_sim(&cfg, &cost, stream(80, 11, 100_000.0));
-    let b = run_chaos(&cfg, &cost, stream(80, 11, 100_000.0));
+    let a = run_sim(&cfg, &cost, stream(n, 11, 100_000.0));
+    let b = run_sim(&armed, &cost, stream(n, 11, 100_000.0));
+    assert_eq!(b.metrics.restarts(), 0);
+    assert!(b.metrics.failed_shards().is_empty());
     assert_reports_identical(&a, &b);
 }
 
@@ -452,7 +460,7 @@ fn chaos_sim_failover_reroutes_and_charges_fault_recovery() {
         })
         .with_faults(ShardFaultPlan::none().with_shard_crash(0, 0));
     let n = 60;
-    let run = run_chaos(&cfg, &CostModel::default(), stream(n, 5, 50_000.0));
+    let run = run_sim(&cfg, &CostModel::default(), stream(n, 5, 50_000.0));
     assert_eq!(run.outcomes.len(), n);
     assert_eq!(run.metrics.failed_shards(), vec![0]);
     assert_eq!(run.metrics.restarts(), 2);
@@ -500,7 +508,7 @@ proptest! {
             .with_faults(plan);
         let cost = CostModel::default();
         let n = 70;
-        let run = run_chaos(&cfg, &cost, stream(n, seed, 100_000.0));
+        let run = run_sim(&cfg, &cost, stream(n, seed, 100_000.0));
 
         // Exactly-once: one terminal outcome per submission.
         prop_assert_eq!(run.outcomes.len(), n);
@@ -531,7 +539,7 @@ proptest! {
         }
 
         // Byte-identical replay from the same seed.
-        let again = run_chaos(&cfg, &cost, stream(n, seed, 100_000.0));
+        let again = run_sim(&cfg, &cost, stream(n, seed, 100_000.0));
         assert_reports_identical(&run, &again);
     }
 }
@@ -568,7 +576,7 @@ fn serving_survives_the_configured_shard_crash_grid_point() {
         .with_faults(plan);
     let cost = CostModel::default();
     let n = 60;
-    let run = run_chaos(&cfg, &cost, stream(n, 7, 50_000.0));
+    let run = run_sim(&cfg, &cost, stream(n, 7, 50_000.0));
     assert_eq!(run.outcomes.len(), n);
     let ok = run.outcomes.iter().filter(|o| o.is_ok()).count() as u64;
     assert_eq!(ok, run.metrics.completed());
@@ -580,5 +588,5 @@ fn serving_survives_the_configured_shard_crash_grid_point() {
             assert_eq!(resp.pyramid, oracle(req), "grid point corrupted a response");
         }
     }
-    assert_reports_identical(&run, &run_chaos(&cfg, &cost, stream(n, 7, 50_000.0)));
+    assert_reports_identical(&run, &run_sim(&cfg, &cost, stream(n, 7, 50_000.0)));
 }

@@ -4,7 +4,12 @@
 //!    with any batching factor (and match the sequential oracle);
 //! 2. graceful drain loses nothing — every accepted request resolves,
 //!    and the books balance (accepted = completed + shed + expired);
-//! 3. shedding only ever displaces strictly-lower-priority work.
+//! 3. shedding only ever displaces strictly-lower-priority work;
+//! 4. the live lane ledger charges each second once: a mostly idle
+//!    shard's lanes sum to about its completion time, not twice it.
+
+use std::thread;
+use std::time::Duration;
 
 use dwt::{dwt2d, Boundary, FilterBank, Matrix};
 use proptest::prelude::*;
@@ -238,4 +243,51 @@ fn graceful_drain_resolves_every_accepted_request() {
     // The cache did its job across the drain.
     assert!(snapshot.cache_hit_rate() > 0.0);
     assert!(snapshot.budget_report().is_some());
+}
+
+/// A worker blocked on an empty queue is idle, and idle time belongs
+/// to the ImbalanceWait lane alone (charged when the books close). At
+/// low load, with requests spaced by sleeps so idle time dominates,
+/// every shard's lanes must sum to about its completion time; charging
+/// the idle wait to the dispatch lane as well roughly doubles the sum.
+#[test]
+fn live_lanes_charge_idle_time_once() {
+    let service = WaveletService::start(ServiceConfig::default().with_shards(2));
+    for i in 0..6u64 {
+        thread::sleep(Duration::from_millis(15));
+        let req = DecomposeRequest::new(image(16, i), FilterBank::haar(), 1);
+        service
+            .submit(req)
+            .expect("an idle service admits")
+            .wait()
+            .expect("fault-free request completes");
+    }
+    thread::sleep(Duration::from_millis(15));
+    let snapshot = service
+        .shutdown()
+        .expect("no worker died in a fault-free run");
+    for (s, shard) in snapshot.shards.iter().enumerate() {
+        let l = &shard.lanes;
+        let total = l.useful
+            + l.communication
+            + l.duplication
+            + l.unique_redundancy
+            + l.wait
+            + l.fault_recovery;
+        assert!(
+            l.completion > 0.09,
+            "shard {s}: completion {}",
+            l.completion
+        );
+        assert!(
+            total <= 1.25 * l.completion,
+            "shard {s}: lanes sum to {total:.4}s over a {:.4}s completion",
+            l.completion
+        );
+        assert!(
+            total >= 0.9 * l.completion,
+            "shard {s}: lanes {total:.4}s leave part of the {:.4}s completion uncharged",
+            l.completion
+        );
+    }
 }
