@@ -39,8 +39,20 @@ fn corrupt(detail: impl Into<String>) -> WireError {
     }
 }
 
+/// `a.max(b)`, except that a NaN on either side wins: `f64::max`
+/// drops NaN, which would turn a bound over NaN coefficients into a
+/// finite lie.
+fn nan_max(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
+    }
+}
+
+/// Largest `|v|` in `data`; NaN if any value is NaN.
 fn max_abs(data: &[f64]) -> f64 {
-    data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
+    data.iter().fold(0.0f64, |m, v| nan_max(m, v.abs()))
 }
 
 /// Sparse wins when `kept * (8 + 4) < total * 8` — the same breakeven
@@ -143,7 +155,7 @@ pub fn split_response(
     let mut running = tol;
     for j in (0..n).rev() {
         bounds[j] = running;
-        running = running.max(cands[j].orig_max);
+        running = nan_max(running, cands[j].orig_max);
     }
     let header_bound = running; // all detail planes outstanding
 
@@ -375,6 +387,33 @@ mod tests {
         let got = r.into_response();
         assert_eq!(got.pyramid, resp.pyramid, "bitwise-equal pyramids");
         assert!(!got.degraded);
+    }
+
+    #[test]
+    fn a_nan_coefficient_makes_the_bound_nan_not_finite() {
+        let mut resp = exact_response(16, 16, 2);
+        resp.pyramid.detail[1].hl.data_mut()[3] = f64::NAN;
+        let (header, _) = split_response(&resp, CheckpointCodec::Raw).unwrap();
+        assert!(header.bound_after.is_nan(), "{}", header.bound_after);
+        let r = Reassembler::new(header).unwrap();
+        assert!(r.bound().is_nan(), "a partial bound over NaN must be NaN");
+    }
+
+    #[test]
+    fn overflowing_finite_input_never_reports_a_finite_bound() {
+        // Finite pixels near f64::MAX overflow inside the transform.
+        let img = Matrix::from_fn(16, 16, |r, c| if (r + c) % 2 == 0 { 1e308 } else { -1e308 });
+        let plan = DwtPlan::new(16, 16, FilterBank::cdf97(), 2, Boundary::Periodic).unwrap();
+        let resp = DecomposeResponse {
+            pyramid: plan.decompose(&img).unwrap(),
+            ..exact_response(16, 16, 2)
+        };
+        let mut overflowed = false;
+        resp.pyramid
+            .for_each_coeff(|v| overflowed |= !v.is_finite());
+        assert!(overflowed, "the fixture must overflow");
+        let (header, _) = split_response(&resp, CheckpointCodec::Raw).unwrap();
+        assert!(!header.bound_after.is_finite(), "{}", header.bound_after);
     }
 
     #[test]

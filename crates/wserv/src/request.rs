@@ -112,7 +112,9 @@ impl DecomposeRequest {
 
     /// Cheap admission-time validation (full validation happens again
     /// when the plan is built; this catches malformed geometry before
-    /// it occupies queue space).
+    /// it occupies queue space). A NaN or infinite pixel is refused
+    /// too: it would spread through the transform and make every
+    /// reported error bound meaningless.
     pub fn validate(&self) -> Result<(), Rejection> {
         dwt2d::validate_dims(
             self.image.rows(),
@@ -122,7 +124,21 @@ impl DecomposeRequest {
         )
         .map_err(|e| Rejection::Invalid {
             detail: e.to_string(),
-        })
+        })?;
+        // A branch-free fold: `all()` exits early, and its per-pixel
+        // branch costs measurably more on the admission path.
+        let finite = self
+            .image
+            .data()
+            .iter()
+            .fold(true, |ok, v| ok & v.is_finite());
+        if finite {
+            Ok(())
+        } else {
+            Err(Rejection::Invalid {
+                detail: "image holds a non-finite pixel".into(),
+            })
+        }
     }
 }
 

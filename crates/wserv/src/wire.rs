@@ -6,7 +6,7 @@
 //!  offset  size  field
 //!  ------  ----  -----------------------------------------------
 //!       0     4  magic  = "WSRV"
-//!       4     1  protocol version (= 2)
+//!       4     1  protocol version (= 3)
 //!       5     1  frame kind (Hello / HelloAck / Request / Response /
 //!                Bye / Cancel)
 //!       6     1  flags (bit 0 = continuation: more frames follow for
@@ -15,7 +15,8 @@
 //!       8     8  request id (client-assigned; client id for Hello)
 //!      16     4  payload length N (little-endian, bounded)
 //!      20     N  payload (kind-specific encoding)
-//!    20+N     8  checksum = FNV-1a 64 over bytes [0, 20+N)
+//!    20+N     8  checksum = 4-lane word hash over bytes [0, 20+N)
+//!                (see [`checksum`])
 //! ```
 //!
 //! Protocol version 2 repurposed one of version 1's two reserved
@@ -25,6 +26,13 @@
 //! carrying [`FLAG_CONTINUE`]. Version 2 also added
 //! [`FrameKind::Cancel`], the client's idempotent "stop sending planes
 //! for this id".
+//!
+//! Protocol version 3 changed only the meaning of the trailer: the
+//! byte-serial FNV-1a 64 of versions 1–2 became the four-lane word hash
+//! in [`checksum`], which hashes a frame at memory speed and still
+//! catches every single-bit flip. The layout is unchanged, so a v2 peer
+//! fails on the version byte with a typed error instead of on every
+//! checksum.
 //!
 //! All integers are little-endian; all floating-point payloads are
 //! IEEE-754 bit patterns, so encode→decode round-trips *bitwise* — the
@@ -46,8 +54,11 @@ use dwt::{Boundary, FilterBank, Matrix, Pyramid, Subbands};
 
 /// Frame magic: `"WSRV"`.
 pub const MAGIC: [u8; 4] = *b"WSRV";
-/// Protocol version this build speaks (2: continuation flag + Cancel).
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Protocol version this build speaks. Version 2 added the
+/// continuation flag and Cancel; version 3 replaced the FNV-1a trailer
+/// with the four-lane [`checksum`], so peers of different versions
+/// refuse each other's frames on the version byte.
+pub const PROTOCOL_VERSION: u8 = 3;
 /// Fixed header bytes before the payload.
 pub const HEADER_LEN: usize = 20;
 /// Trailing checksum bytes after the payload.
@@ -176,15 +187,72 @@ fn corrupt(detail: impl Into<String>) -> WireError {
     }
 }
 
-/// FNV-1a 64 over `bytes` — the same construction shard routing uses,
-/// chosen for stability by specification.
+/// Odd multipliers of the checksum round (the xxHash64 primes 1 and 2).
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// One lane step: `rotl(acc + w·P2, 31)·P1`. For a fixed `acc` it is a
+/// bijection in `w`, and for a fixed `w` a bijection in `acc` — every
+/// step is an add, a rotation, or a multiply by an odd constant, and
+/// each of those is invertible mod 2^64.
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// MurmurHash3's 64-bit finalizer: a bijection that spreads every lane
+/// bit over the whole word before the lanes are folded.
+fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// The frame checksum (protocol v3): four independent 64-bit lanes over
+/// 32-byte stripes of little-endian `u64` words, word `i` of a stripe
+/// feeding lane `i`. The remainder is zero-padded into one final
+/// stripe, and the lanes fold as `len ⊕ ⨁ᵢ rotl(fmix64(laneᵢ), 16i)`.
+/// The four lanes are independent multiply chains, so the loop runs at
+/// memory speed instead of one dependent multiply per byte.
+///
+/// Any corruption confined to one aligned 8-byte word is always
+/// detected, which includes every single-bit flip. Two inputs of equal
+/// length that differ only in word `k` feed identical words to every
+/// lane except lane `k mod 4`, and that lane sees different words at
+/// exactly one step. [`round`] is a bijection in the word, so the lane
+/// state differs after that step. Every later step is a bijection in
+/// the state, so the final lane value differs. `fmix64` and the
+/// rotation are bijections, so that lane's fold term differs, and the
+/// other terms and `len` are unchanged. So the XOR differs. Zero
+/// padding keeps this true for a word in the tail, since both inputs
+/// pad with the same bytes.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("slice is 8 bytes"));
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut absorb = |stripe: &[u8]| {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
+        }
+    };
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        absorb(stripe);
     }
-    h
+    let tail = stripes.remainder();
+    if !tail.is_empty() {
+        let mut pad = [0u8; 32];
+        pad[..tail.len()].copy_from_slice(tail);
+        absorb(&pad);
+    }
+    lanes
+        .iter()
+        .enumerate()
+        .fold(bytes.len() as u64, |h, (i, &lane)| {
+            h ^ fmix64(lane).rotate_left(16 * i as u32)
+        })
 }
 
 /// Narrow a `usize` field into its `u32` wire width, or fail typed at
@@ -384,8 +452,10 @@ fn put_string(out: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
 }
 
 fn put_plane(out: &mut Vec<u8>, data: &[f64]) {
-    for v in data {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    let start = out.len();
+    out.resize(start + data.len() * 8, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(data) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -651,7 +721,12 @@ fn decode_rejection(r: &mut Reader<'_>) -> Result<Rejection, WireError> {
 
 /// Encode one terminal outcome as a [`FrameKind::Response`] frame.
 pub fn encode_response(id: u64, result: &ServeResult) -> Result<Frame, WireError> {
-    let mut payload = Vec::new();
+    // Outcome fields (32 B), pyramid geometry (12 B), then every
+    // coefficient: reserve it all so the payload never regrows.
+    let mut payload = match result {
+        Ok(resp) => Vec::with_capacity(44 + 8 * resp.pyramid.coefficient_count()),
+        Err(_) => Vec::new(),
+    };
     match result {
         Ok(resp) => {
             payload.push(0);
@@ -1245,6 +1320,96 @@ mod tests {
             bad[pos] ^= 0x10;
             let err = decode_complete(&bad, DEFAULT_MAX_PAYLOAD).expect_err("flip must fail");
             assert!(matches!(err, WireError::FrameCorrupt { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_request_frame_is_corrupt() {
+        // A window of u32::MAX keeps a flipped length field from reading
+        // as FrameTooLarge: it must read as truncated or mismatched.
+        let bytes = encode_frame(&encode_request(1, &sample_request()).unwrap()).unwrap();
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            match decode_complete(&bad, u32::MAX) {
+                Err(WireError::FrameCorrupt { .. }) => {}
+                other => panic!("flip of bit {bit}: expected FrameCorrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the corruption sweep.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn corruption_of_one_aligned_word_is_always_caught() {
+        let img = Matrix::from_fn(128, 128, |r, c| (r * 128 + c) as f64 * 0.5 - 4096.0);
+        let req = DecomposeRequest::new(img, FilterBank::cdf97(), 3);
+        let bytes = encode_frame(&encode_request(1, &req).unwrap()).unwrap();
+        let body_len = bytes.len() - TRAILER_LEN;
+        let clean = checksum(&bytes[..body_len]);
+        let mut rng = 1996u64;
+        for _ in 0..256 {
+            let word = (splitmix(&mut rng) % body_len.div_ceil(8) as u64) as usize;
+            let (start, end) = (word * 8, (word * 8 + 8).min(body_len));
+            let mask = splitmix(&mut rng).to_le_bytes();
+            if mask[..end - start].iter().all(|&m| m == 0) {
+                continue;
+            }
+            let mut bad = bytes.clone();
+            for (b, m) in bad[start..end].iter_mut().zip(mask) {
+                *b ^= m;
+            }
+            assert_ne!(checksum(&bad[..body_len]), clean, "word {word}");
+            assert!(
+                matches!(
+                    decode_complete(&bad, u32::MAX),
+                    Err(WireError::FrameCorrupt { .. })
+                ),
+                "word {word} corruption decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_known_answers_pin_the_protocol() {
+        // Any change to these values is a wire-protocol change: bump
+        // PROTOCOL_VERSION with it. The lengths cover the empty input,
+        // partial and whole words, partial and whole stripes, and a
+        // long input with a tail.
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 131 + 7) as u8).collect();
+        let got: Vec<(usize, u64)> = [0usize, 1, 7, 8, 31, 32, 33, 1000]
+            .into_iter()
+            .map(|n| (n, checksum(&data[..n])))
+            .collect();
+        let want: [(usize, u64); 8] = [
+            (0, 0x278d_becb_f64b_6e17),
+            (1, 0x75c4_b309_019f_036a),
+            (7, 0x1b2c_3af9_4336_b38d),
+            (8, 0xcfac_f8a0_ae51_9e52),
+            (31, 0x47bc_ec56_00d5_020c),
+            (32, 0x6016_ee98_4627_f3c2),
+            (33, 0x3265_21a6_64e0_5cd4),
+            (1000, 0xc818_b649_930d_a5a6),
+        ];
+        assert_eq!(got, want, "checksum known answers changed: {got:#018x?}");
+    }
+
+    #[test]
+    fn a_version_2_frame_is_a_typed_version_error() {
+        let mut bytes = encode_frame(&encode_request(1, &sample_request()).unwrap()).unwrap();
+        bytes[4] = 2;
+        match decode_complete(&bytes, DEFAULT_MAX_PAYLOAD) {
+            Err(WireError::FrameCorrupt { detail }) => {
+                assert!(detail.contains("version 2"), "{detail}")
+            }
+            other => panic!("expected a version error, got {other:?}"),
         }
     }
 

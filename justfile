@@ -143,3 +143,19 @@ elastic-bench-smoke:
 serve-bench-smoke:
     WSERV_SMOKE=1 cargo run --release -p bench --bin bench_service
     python3 -c "import json; d = json.load(open('target/BENCH_service_smoke.json')); rows = d['results']; assert rows and any(r['cache_hit_rate'] > 0 for r in rows), 'plan cache never hit'; required = {'shards', 'cache_capacity', 'max_batch', 'rate_hz', 'accepted', 'completed', 'rejected_queue_full', 'rejected_shed', 'rejected_deadline', 'cache_hit_rate', 'mean_batch_occupancy', 'p50_ms', 'p95_ms', 'p99_ms', 'throughput_hz', 'makespan_s', 'useful_pct', 'imbalance_pct'}; missing = [sorted(required - set(r)) for r in rows if not required <= set(r)]; assert not missing, missing; print('serving smoke OK:', len(rows), 'rows')"
+
+# Benchmark correctness smoke as CI runs it: every BENCHMARK.json
+# workload for 2 seconds through the benchmark's own command; each run
+# must exit 0 and report "correct": true (bit-identity with the oracles
+# and honest progressive bounds, over the real TCP path).
+perfbench-smoke:
+    #!/usr/bin/env python3
+    import json, subprocess
+    bench = json.load(open("BENCHMARK.json"))
+    for w in bench["workloads"]:
+        cmd = bench["command"] + ["--workload", w["name"], "--seed", "1", "--seconds", "2", "--trace", "0"]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        assert run.returncode == 0, (w["name"], run.returncode, run.stderr[-2000:])
+        out = json.loads(run.stdout.strip().splitlines()[-1])
+        assert out["correct"] is True, (w["name"], out)
+        print("perfbench smoke OK:", w["name"], out["attempted"], "requests")

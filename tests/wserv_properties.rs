@@ -6,7 +6,9 @@
 //!    and the books balance (accepted = completed + shed + expired);
 //! 3. shedding only ever displaces strictly-lower-priority work;
 //! 4. the live lane ledger charges each second once: a mostly idle
-//!    shard's lanes sum to about its completion time, not twice it.
+//!    shard's lanes sum to about its completion time, not twice it;
+//! 5. a NaN or infinite pixel anywhere in the image is refused at
+//!    admission as `Rejection::Invalid`.
 
 use std::thread;
 use std::time::Duration;
@@ -289,5 +291,36 @@ fn live_lanes_charge_idle_time_once() {
             "shard {s}: lanes {total:.4}s leave part of the {:.4}s completion uncharged",
             l.completion
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One NaN or ±inf pixel, at any position of any admissible shape,
+    /// is refused at the door; the same image made finite again is
+    /// served.
+    #[test]
+    fn non_finite_pixels_are_rejected_at_admission(
+        size_tag in 0usize..3,
+        pos_seed in 0usize..usize::MAX,
+        tag in 0u8..3,
+    ) {
+        let n = [8usize, 16, 32][size_tag];
+        let service = WaveletService::start(ServiceConfig::default().with_shards(2));
+        let mut img = image(n, pos_seed as u64 % 1000);
+        let pos = pos_seed % (n * n);
+        img.data_mut()[pos] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][tag as usize];
+        let bad = DecomposeRequest::new(img.clone(), FilterBank::haar(), 2);
+        match service.submit(bad) {
+            Err(Rejection::Invalid { detail }) => prop_assert!(detail.contains("non-finite")),
+            Err(other) => prop_assert!(false, "pixel {} of {}²: rejected as {:?}", pos, n, other),
+            Ok(_) => prop_assert!(false, "pixel {} of {}²: admitted", pos, n),
+        }
+        img.data_mut()[pos] = 0.0;
+        let ok = DecomposeRequest::new(img, FilterBank::haar(), 2);
+        prop_assert!(service.submit(ok).expect("finite image admits").wait().is_ok());
+        let snapshot = service.shutdown().expect("no worker died");
+        prop_assert_eq!(snapshot.completed(), 1);
     }
 }

@@ -14,10 +14,14 @@
 //!   is aborted and counted in `conn_aborted`;
 //! * a protocol mismatch is a terminal, typed handshake failure;
 //! * the in-memory shim and localhost TCP produce identical outcome
-//!   books for the same seed — same protocol, different bytes.
+//!   books for the same seed — same protocol, different bytes;
+//! * a NaN or infinite pixel comes back as a typed
+//!   `Rejection::Invalid`, never a connection abort.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use proptest::prelude::*;
 
 use dwt::{FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
@@ -29,8 +33,8 @@ use wserv::wire::{
     PROTOCOL_VERSION,
 };
 use wserv::{
-    DecomposeRequest, MemListener, RemoteClient, ServiceConfig, SupervisorPolicy, TcpAcceptor,
-    TcpConnector, TransportError, WireDir, WireFaultPlan,
+    DecomposeRequest, MemListener, Rejection, RemoteClient, ServiceConfig, SupervisorPolicy,
+    TcpAcceptor, TcpConnector, TransportError, WireDir, WireFaultPlan,
 };
 
 fn tick() -> Duration {
@@ -881,4 +885,45 @@ fn progressive_chaos_keeps_exactly_once_accounting() {
         clients * reqs,
         "exactly-once accounting survives cancels under chaos"
     );
+}
+
+// ---------------------------------------------------------------------
+// Non-finite input
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// NaN and ±inf pixels cross the wire bit-exactly and are refused at
+    /// the server's admission as `Rejection::Invalid`. The connection
+    /// survives: the same client then gets a finite request served, with
+    /// no retries.
+    #[test]
+    fn non_finite_pixels_are_rejected_over_the_shim(
+        positions in prop::collection::vec((0usize..16 * 16, 0u8..3), 1..4),
+    ) {
+        let listener = MemListener::new(1 << 16, tick());
+        let server = RemoteServer::start(
+            service_config(),
+            remote_config(),
+            Box::new(listener.clone()),
+        )
+        .expect("config is valid");
+        let mut client = RemoteClient::new(Box::new(listener), 5).with_retry(fast_retry());
+        for &(pos, tag) in &positions {
+            let mut req = request(pos as u64);
+            req.image.data_mut()[pos] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][tag as usize];
+            match client.call(&req) {
+                Ok(Err(Rejection::Invalid { detail })) => {
+                    prop_assert!(detail.contains("non-finite"), "{}", detail)
+                }
+                other => prop_assert!(false, "pixel {}: expected Invalid, got {:?}", pos, other),
+            }
+        }
+        prop_assert!(client.call(&request(99)).expect("connection survives").is_ok());
+        prop_assert_eq!(client.retries, 0);
+        client.goodbye();
+        let metrics = server.shutdown().expect("clean drain");
+        prop_assert_eq!(metrics.service.completed(), 1);
+    }
 }
