@@ -163,6 +163,9 @@ pub struct ShardMap {
     total: usize,
     /// Which slots participate in routing.
     active: Vec<bool>,
+    /// Which slots were active at some point (base shards from the
+    /// start, reserve slots once split into).
+    ever_active: Vec<bool>,
     /// Explicit shape overrides, keyed by [`shape_key`]. A `BTreeMap`
     /// keeps iteration (and therefore merge drains) deterministic.
     overrides: BTreeMap<u64, usize>,
@@ -182,6 +185,7 @@ impl ShardMap {
         ShardMap {
             base,
             total,
+            ever_active: active.clone(),
             active,
             overrides: BTreeMap::new(),
             epoch: 0,
@@ -206,6 +210,12 @@ impl ShardMap {
     /// Whether slot `s` currently participates in routing.
     pub fn is_active(&self, s: usize) -> bool {
         self.active.get(s).copied().unwrap_or(false)
+    }
+
+    /// Whether slot `s` was ever active. A slot that never was routed
+    /// and served nothing, so it has no books to close.
+    pub fn ever_active(&self, s: usize) -> bool {
+        self.ever_active.get(s).copied().unwrap_or(false)
     }
 
     /// The shape's FNV home shard (override-blind) — the shard its
@@ -265,6 +275,7 @@ impl ShardMap {
         debug_assert!(s < self.total);
         if !self.active[s] {
             self.active[s] = true;
+            self.ever_active[s] = true;
             self.epoch += 1;
         }
     }

@@ -21,7 +21,7 @@
 //!        MetricsSnapshot → perfbudget::BudgetReport
 //! ```
 //!
-//! Two drivers share every policy component:
+//! Two drivers call one policy core, [`shard`]:
 //!
 //! * [`WaveletService`] — the live threaded server (one worker thread
 //!   per shard, wall-clock service time, graceful-drain shutdown);

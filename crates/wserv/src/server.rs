@@ -7,29 +7,23 @@
 //! [`ServeResult`]. Workers pop coalesced batches, execute them through
 //! the shard's [`PlanCache`], and resolve the waiters.
 //!
-//! # Fault tolerance
+//! Every serving decision (admission, expiry, responses, quarantine,
+//! restart, failover, rebalancing, the books) is the shared policy in
+//! [`shard`]. This driver adds threads, locks and the wall clock:
 //!
-//! Shard state (queue, in-flight dispatch, cache, metrics, dispatch
-//! counter) lives *outside* the worker thread, so a worker death loses
-//! nothing:
-//!
+//! * a shard's queue and books sit under its `inner` lock, outside the
+//!   worker thread, so a worker death loses nothing;
 //! * every popped batch is stashed in the shard's in-flight slot before
 //!   execution, so whatever kills the worker, the supervisor can
 //!   re-queue the exact requests it held;
-//! * execution runs under [`std::panic::catch_unwind`]: a panic while
-//!   executing (e.g. an injected poison request) is quarantined
-//!   in-thread — batchmates are re-queued to retry *solo*, and a
-//!   request that panics even alone is terminally rejected
-//!   [`Rejection::Requeued`] instead of taking the worker down;
+//! * execution runs under [`std::panic::catch_unwind`]: a panicking
+//!   batch (e.g. an injected poison request) goes to the quarantine
+//!   instead of taking the worker down;
 //! * a supervisor thread health-checks the workers and restarts dead
-//!   ones under [`SupervisorPolicy`]'s bounded exponential-backoff
-//!   budget; past the budget the shard is failed over — its queued and
-//!   in-flight work re-routes to live successors on the shard ring, and
-//!   future submissions route around it;
-//! * under reduced capacity (covering for a failed peer, or a queue
-//!   past the high-water mark) a shard may answer sub-interactive work
-//!   with a degraded, bounded-error response ([`DegradedPolicy`])
-//!   instead of letting the backlog shed it.
+//!   ones after [`SupervisorPolicy`]'s backoff, which it really sleeps;
+//! * the budget lanes come from wall-clock stamps: a cache miss's
+//!   measured plan construction is the plan lane, the rest of the
+//!   execution the transform lane.
 //!
 //! Fault *injection* is deterministic and seeded ([`ShardFaultPlan`]):
 //! the same plan drives the simulator ([`crate::sim::run_sim`])
@@ -46,25 +40,20 @@
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::admission::{AdmissionQueue, Admit};
 use crate::batch::{Batch, BatchPolicy};
 use crate::cache::PlanCache;
-use crate::elastic::{
-    BalanceAction, BalanceController, ElasticPolicy, QueuedShape, ShardLoad, ShardMap,
-};
+use crate::elastic::{BalanceAction, BalanceController, ElasticPolicy, ShardMap};
 use crate::faults::{DegradedPolicy, ShardFaultPlan, SupervisorPolicy};
-use crate::metrics::{LaneSplit, MetricsSnapshot, ShardMetrics};
-use crate::request::{
-    DecomposeRequest, DecomposeResponse, Entry, RejectKind, Rejection, ServeResult,
-};
-use crate::shard;
+use crate::metrics::{LaneSplit, MetricsSnapshot};
+use crate::request::{DecomposeRequest, Entry, RejectKind, Rejection, ServeResult};
+use crate::shard::{self, Driver, Outcomes, ShardState};
 
 /// Service-wide configuration.
 #[derive(Debug, Clone)]
@@ -252,7 +241,7 @@ impl ResponseHandle {
 /// Lock-guarded half of one shard.
 #[derive(Debug)]
 struct Inner {
-    queue: AdmissionQueue<Arc<ResponseCell>>,
+    shard: ShardState<Arc<ResponseCell>>,
     draining: bool,
 }
 
@@ -260,6 +249,7 @@ struct Inner {
 /// thread so nothing is lost when the worker dies.
 #[derive(Debug)]
 struct ShardShared {
+    /// The queue and the books; survive worker restarts.
     inner: Mutex<Inner>,
     work: Condvar,
     /// The batch currently being executed. Stashed *before* execution
@@ -267,8 +257,6 @@ struct ShardShared {
     in_flight: Mutex<Option<Batch<Arc<ResponseCell>>>>,
     /// The shard's plan cache; survives worker restarts warm.
     cache: Mutex<PlanCache>,
-    /// The shard's metrics; survive worker restarts.
-    metrics: Mutex<ShardMetrics>,
     /// Shard-local dispatch counter — the fault-injection coordinate.
     /// Monotonic across worker restarts (a restarted worker continues
     /// the sequence, which is what makes a permanent crash keep firing).
@@ -276,29 +264,71 @@ struct ShardShared {
     /// Set when the restart budget is exhausted; submitters and the
     /// failover router treat the shard as dead.
     failed: AtomicBool,
-    /// Worker restarts performed so far.
-    restarts: AtomicU32,
 }
 
 impl ShardShared {
     fn new(config: &ServiceConfig) -> Self {
         ShardShared {
             inner: Mutex::new(Inner {
-                queue: AdmissionQueue::new(config.queue_capacity),
+                shard: ShardState::new(config.queue_capacity),
                 draining: false,
             }),
             work: Condvar::new(),
             in_flight: Mutex::new(None),
             cache: Mutex::new(PlanCache::new(config.cache_capacity, config.engine_threads)),
-            metrics: Mutex::new(ShardMetrics::default()),
             dispatch: AtomicU64::new(0),
             failed: AtomicBool::new(false),
-            restarts: AtomicU32::new(0),
         }
     }
 
     fn alive(&self) -> bool {
         !self.failed.load(Ordering::SeqCst)
+    }
+}
+
+/// The live shards as the shared policy in [`shard`] drives them: a
+/// shard's state is reached under its `inner` lock, and outcomes are
+/// delivered to the response cells after that lock is released.
+struct Live<'a>(&'a [Arc<ShardShared>]);
+
+impl Driver<Arc<ResponseCell>> for Live<'_> {
+    fn with<R>(&mut self, s: usize, f: impl FnOnce(&mut ShardState<Arc<ResponseCell>>) -> R) -> R {
+        f(&mut self.0[s].inner.lock().shard)
+    }
+
+    fn with_pair<R>(
+        &mut self,
+        a: usize,
+        b: usize,
+        f: impl FnOnce(&mut ShardState<Arc<ResponseCell>>, &mut ShardState<Arc<ResponseCell>>) -> R,
+    ) -> R {
+        debug_assert_ne!(a, b, "a pair is two distinct shards");
+        // Two shard locks nest only here, in ascending index order.
+        let mut first = self.0[a.min(b)].inner.lock();
+        let mut second = self.0[a.max(b)].inner.lock();
+        if a < b {
+            f(&mut first.shard, &mut second.shard)
+        } else {
+            f(&mut second.shard, &mut first.shard)
+        }
+    }
+
+    fn alive(&self) -> Vec<bool> {
+        self.0.iter().map(|s| s.alive()).collect()
+    }
+
+    fn resolve(&mut self, out: Outcomes<Arc<ResponseCell>>) {
+        for (cell, result) in out {
+            cell.resolve(result);
+        }
+    }
+
+    fn offered(&mut self, s: usize, _now: f64, _was_idle: bool) {
+        self.0[s].work.notify_one();
+    }
+
+    fn failed_over(&mut self, s: usize) {
+        self.0[s].failed.store(true, Ordering::SeqCst);
     }
 }
 
@@ -311,18 +341,17 @@ impl ShardShared {
 /// opportunistically (`try_lock`, so at most one submitter balances at
 /// a time and nobody queues behind the control plane).
 ///
-/// Lock order: `ctrl` → `map` → shard `inner` (innermost). Shard inner
-/// locks nest (two at once) only inside [`WaveletService::migrate`],
-/// always in ascending index order, and only while `ctrl` is held — so
-/// no cycle is possible with the single-inner-lock paths.
+/// Lock order: `ctrl` → `map` → shard `inner`. Two shard `inner` locks
+/// nest only inside the shared queue surgery (`Driver::with_pair`),
+/// always in ascending index order, and only while `ctrl` and `map` are
+/// held — so no cycle is possible with the single-inner-lock paths. A
+/// worker holds its shard's `in_flight` slot across execution and takes
+/// the `cache` lock inside it; neither is held while taking `inner`.
+/// Response cells are resolved only after every shard lock is released.
 #[derive(Debug)]
 struct LiveElastic {
     map: Mutex<ShardMap>,
     ctrl: Option<Mutex<BalanceController>>,
-    /// Reserve slots that were activated at least once (their books are
-    /// part of the final snapshot; never-activated slots served
-    /// nothing and are omitted).
-    ever_active: Mutex<Vec<bool>>,
     /// The decision log: `(seconds since service start, action)`.
     log: Mutex<Vec<(f64, BalanceAction)>>,
 }
@@ -330,7 +359,6 @@ struct LiveElastic {
 /// The running service.
 #[derive(Debug)]
 pub struct WaveletService {
-    config: ServiceConfig,
     start: Instant,
     shards: Vec<Arc<ShardShared>>,
     elastic: Arc<LiveElastic>,
@@ -368,7 +396,6 @@ impl WaveletService {
             ctrl: config
                 .elastic
                 .map(|policy| Mutex::new(BalanceController::new(policy))),
-            ever_active: Mutex::new(vec![false; total]),
             log: Mutex::new(Vec::new()),
         });
         // Reserve-slot workers spawn with the rest: they sleep on their
@@ -390,7 +417,6 @@ impl WaveletService {
             (None, handles)
         };
         WaveletService {
-            config,
             start,
             shards,
             elastic,
@@ -411,23 +437,8 @@ impl WaveletService {
     /// the shard ring.
     pub fn submit(&self, req: DecomposeRequest) -> Result<ResponseHandle, Rejection> {
         req.validate()?;
-        let shape = req.shape();
-        let alive: Vec<bool> = self.shards.iter().map(|s| s.alive()).collect();
-        let (home, routed) = {
-            let map = self.elastic.map.lock();
-            (map.home(&shape), map.route(&shape, &alive))
-        };
-        let Some(shard_ix) = routed else {
-            // Every shard is down; account the rejection to the home
-            // shard so the books still balance per shard.
-            let restarts = self.shards[home].restarts.load(Ordering::SeqCst);
-            let mut inner = self.shards[home].inner.lock();
-            inner.queue.counters.reject(RejectKind::ShardFailed);
-            return Err(Rejection::ShardFailed {
-                shard: home,
-                restarts,
-            });
-        };
+        let mut live = Live(&self.shards);
+        let shard_ix = shard::route_arrival(&mut live, &self.elastic.map.lock(), &req.shape())?;
         let state = &self.shards[shard_ix];
         let cell = Arc::new(ResponseCell::default());
         let id = {
@@ -437,7 +448,6 @@ impl WaveletService {
             id
         };
         let now = self.now();
-        let incoming = req.priority;
         let entry = Entry {
             id,
             arrival: now,
@@ -445,33 +455,25 @@ impl WaveletService {
             attempts: 0,
             tag: Arc::clone(&cell),
         };
+        let mut out = Vec::new();
         let admitted = {
             let mut inner = state.inner.lock();
             if inner.draining {
-                inner.queue.counters.reject(RejectKind::Draining);
+                inner.shard.queue.counters.reject(RejectKind::Draining);
                 return Err(Rejection::Draining);
             }
-            inner.queue.admit(now, entry)
+            inner.shard.admit(now, entry, &mut out)
         };
-        let result = match admitted {
-            Admit::Accepted => {
-                state.work.notify_one();
-                Ok(ResponseHandle { cell })
-            }
-            Admit::AcceptedShedding(victim) => {
-                // The queue guarantees the victim's class is strictly
-                // below the arrival's; the rejection records who won.
-                debug_assert!(victim.req.priority < incoming);
-                victim.tag.resolve(Err(Rejection::Shed { by: incoming }));
-                state.work.notify_one();
-                Ok(ResponseHandle { cell })
-            }
-            Admit::Rejected(_, rejection) => Err(rejection),
-        };
+        if admitted.is_ok() {
+            state.work.notify_one();
+        }
+        live.resolve(out);
         // The control plane runs on the submit path (no clock thread):
         // each admission gives the balancer one chance to act.
         self.elastic_tick(now);
-        result
+        admitted
+            .map(|()| ResponseHandle { cell })
+            .map_err(|(_, rejection)| rejection)
     }
 
     /// The elastic controller's decision log so far: `(seconds since
@@ -497,143 +499,9 @@ impl WaveletService {
         let Some(mut ctrl) = ctrl_m.try_lock() else {
             return;
         };
-        if !ctrl.ready(now) {
-            return;
-        }
         let mut map = self.elastic.map.lock();
-        let loads: Vec<ShardLoad> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, st)| {
-                let inner = st.inner.lock();
-                ShardLoad {
-                    active: map.is_active(s),
-                    failed: !st.alive(),
-                    depth: inner.queue.len(),
-                    free: inner.queue.free(),
-                    queued: inner
-                        .queue
-                        .shape_census()
-                        .into_iter()
-                        .map(|(shape, count, movable)| QueuedShape {
-                            key: shard::shape_key(&shape),
-                            shape,
-                            count,
-                            movable,
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let Some(action) = ctrl.decide(now, &loads) else {
-            return;
-        };
-        self.apply_action(&mut map, &action);
-        self.elastic.log.lock().push((now, action));
-    }
-
-    /// Apply one decided action as queue surgery plus map mutation.
-    /// Every migrated entry leaves exactly one queue and enters exactly
-    /// one queue under its locks, so the exactly-once books never see
-    /// the move.
-    fn apply_action(&self, map: &mut ShardMap, action: &BalanceAction) {
-        match action {
-            BalanceAction::Steal { from, to, key, cap } => {
-                self.migrate(*from, *to, *key, *cap);
-            }
-            BalanceAction::Split { from, to, keys } => {
-                if !self.shards[*to].alive() {
-                    return;
-                }
-                map.activate(*to);
-                self.elastic.ever_active.lock()[*to] = true;
-                for &key in keys {
-                    map.set_override(key, *to);
-                    self.migrate(*from, *to, key, usize::MAX);
-                }
-                self.shards[*from].metrics.lock().splits += 1;
-            }
-            BalanceAction::Merge { from } => {
-                for key in map.overrides_to(*from) {
-                    map.clear_override(key);
-                }
-                map.retire(*from);
-                self.shards[*from].metrics.lock().merges += 1;
-                // Drain the retiring queue losslessly back through the
-                // map. The merge threshold keeps this tiny (usually
-                // empty); a full routable queue resolves the entry as
-                // a typed QueueFull rather than losing it.
-                let queued = self.shards[*from].inner.lock().queue.drain();
-                let alive: Vec<bool> = self.shards.iter().map(|s| s.alive()).collect();
-                for entry in queued {
-                    let Some(target) = map.route(&entry.req.shape(), &alive) else {
-                        let me = &self.shards[*from];
-                        let restarts = me.restarts.load(Ordering::SeqCst);
-                        me.inner
-                            .lock()
-                            .queue
-                            .counters
-                            .reject(RejectKind::ShardFailed);
-                        entry.tag.resolve(Err(Rejection::ShardFailed {
-                            shard: *from,
-                            restarts,
-                        }));
-                        continue;
-                    };
-                    let st = &self.shards[target];
-                    let mut inner = st.inner.lock();
-                    if inner.queue.free() > 0 {
-                        inner.queue.accept_migrated(entry);
-                        drop(inner);
-                        self.shards[*from].metrics.lock().stolen_out += 1;
-                        st.metrics.lock().stolen_in += 1;
-                        st.work.notify_one();
-                    } else {
-                        let depth = inner.queue.len();
-                        inner.queue.counters.reject(RejectKind::QueueFull);
-                        drop(inner);
-                        entry.tag.resolve(Err(Rejection::QueueFull { depth }));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Migrate up to `cap` queued entries of routing key `key` from
-    /// shard `from` to shard `to`, both inner locks held (ascending
-    /// index order) so the move is atomic with respect to failover
-    /// drains — an entry is owned by exactly one of the two mechanisms.
-    fn migrate(&self, from: usize, to: usize, key: u64, cap: usize) {
-        if from == to || !self.shards[from].alive() || !self.shards[to].alive() {
-            // A shard mid-failover is never a steal source or target:
-            // the controller already filters failed shards, and this
-            // re-check closes the decide-to-apply race.
-            return;
-        }
-        let (first, second) = (from.min(to), from.max(to));
-        let mut g1 = self.shards[first].inner.lock();
-        let mut g2 = self.shards[second].inner.lock();
-        let (from_inner, to_inner) = if from < to {
-            (&mut *g1, &mut *g2)
-        } else {
-            (&mut *g2, &mut *g1)
-        };
-        let cap = cap.min(to_inner.queue.free());
-        if cap == 0 {
-            return;
-        }
-        let taken = from_inner.queue.take_shape(key, cap);
-        let moved = taken.len() as u64;
-        for entry in taken {
-            to_inner.queue.accept_migrated(entry);
-        }
-        drop(g2);
-        drop(g1);
-        if moved > 0 {
-            self.shards[from].metrics.lock().stolen_out += moved;
-            self.shards[to].metrics.lock().stolen_in += moved;
-            self.shards[to].work.notify_all();
+        if let Some(action) = shard::rebalance(&mut Live(&self.shards), &mut map, &mut ctrl, now) {
+            self.elastic.log.lock().push((now, action));
         }
     }
 
@@ -647,9 +515,7 @@ impl WaveletService {
     /// terminates, even through an error shutdown).
     pub fn shutdown(self) -> Result<MetricsSnapshot, ServiceError> {
         for state in &self.shards {
-            let mut inner = state.inner.lock();
-            inner.draining = true;
-            drop(inner);
+            state.inner.lock().draining = true;
             state.work.notify_all();
         }
         let mut error = None;
@@ -661,7 +527,7 @@ impl WaveletService {
         for (ix, handle) in self.workers.into_iter().enumerate() {
             if handle.join().is_err() {
                 self.shards[ix].failed.store(true, Ordering::SeqCst);
-                self.shards[ix].metrics.lock().failed = true;
+                self.shards[ix].inner.lock().shard.metrics.failed = true;
                 error.get_or_insert(ServiceError::WorkerPanicked { shard: ix });
             }
         }
@@ -669,41 +535,36 @@ impl WaveletService {
         // by an unsupervised death, or re-routed into a shard whose
         // worker had already drained) resolves ShardFailed so every
         // accepted request terminates.
+        let mut live = Live(&self.shards);
         for (ix, state) in self.shards.iter().enumerate() {
             let stranded = state.in_flight.lock().take();
-            let queued = state.inner.lock().queue.drain();
-            let restarts = state.restarts.load(Ordering::SeqCst);
-            for entry in stranded.into_iter().flat_map(|b| b.entries).chain(queued) {
-                state
-                    .inner
-                    .lock()
-                    .queue
-                    .counters
-                    .reject(RejectKind::ShardFailed);
-                entry.tag.resolve(Err(Rejection::ShardFailed {
-                    shard: ix,
-                    restarts,
-                }));
-            }
+            let out = live.with(ix, |st| {
+                let queued = st.queue.drain();
+                stranded
+                    .into_iter()
+                    .flat_map(|b| b.entries)
+                    .chain(queued)
+                    .map(|entry| (entry.tag, Err(st.shard_failed(ix))))
+                    .collect()
+            });
+            live.resolve(out);
         }
-        // Close every shard's books exactly once. Reserve slots that
-        // were never activated served nothing — they are omitted so
-        // their zero-completion lanes don't skew the imbalance rollup
-        // (activation always picks the lowest reserve slot, so the
-        // omissions are a stable suffix).
+        // Close the books of every shard that ever served, exactly once
+        // (reserve slots never activated are omitted so their
+        // zero-completion lanes don't skew the imbalance rollup).
         let now = self.start.elapsed().as_secs_f64();
-        let ever_active = self.elastic.ever_active.lock().clone();
+        let map = self.elastic.map.lock();
         let shards = self
             .shards
             .iter()
             .enumerate()
-            .filter(|(ix, _)| *ix < self.config.shards || ever_active[*ix])
+            .filter(|(ix, _)| map.ever_active(*ix))
             .map(|(_, state)| {
-                let mut m = state.metrics.lock().clone();
-                m.queue = state.inner.lock().queue.counters.clone();
-                m.absorb_cache(&state.cache.lock());
-                m.finalize(now);
-                m
+                state
+                    .inner
+                    .lock()
+                    .shard
+                    .books(&state.cache.lock(), now, now)
             })
             .collect();
         match error {
@@ -726,65 +587,6 @@ fn spawn_worker(
     thread::spawn(move || worker_loop(shard_ix, &shards, &cfg, start, &elastic))
 }
 
-/// Re-admit one entry into `target`'s queue at `now`, charging the
-/// requeue cost to `charge` (the shard responsible for the recovery:
-/// itself for quarantine and restart requeues, the failed shard for
-/// failover re-routes). An entry the queue refuses resolves terminally
-/// with the typed rejection.
-fn readmit(
-    charge: &ShardShared,
-    target: &ShardShared,
-    entry: Entry<Arc<ResponseCell>>,
-    policy: &SupervisorPolicy,
-    now: f64,
-) {
-    let incoming = entry.req.priority;
-    let admitted = {
-        let mut inner = target.inner.lock();
-        inner.queue.admit(now, entry)
-    };
-    match admitted {
-        Admit::Accepted => {
-            charge.metrics.lock().record_requeue(policy.requeue_s);
-            target.work.notify_one();
-        }
-        Admit::AcceptedShedding(victim) => {
-            charge.metrics.lock().record_requeue(policy.requeue_s);
-            victim.tag.resolve(Err(Rejection::Shed { by: incoming }));
-            target.work.notify_one();
-        }
-        Admit::Rejected(entry, rejection) => entry.tag.resolve(Err(rejection)),
-    }
-}
-
-/// The poisoned-batch quarantine, applied after a caught execution
-/// panic: batchmates re-queue to retry solo (attempts + 1, so the
-/// batcher isolates them); a request that panicked even solo is
-/// terminally rejected instead of burning another worker.
-fn quarantine(
-    me: &ShardShared,
-    batch: Batch<Arc<ResponseCell>>,
-    policy: &SupervisorPolicy,
-    now: f64,
-) {
-    if batch.len() == 1 {
-        let entry = batch.entries.into_iter().next().expect("len checked");
-        {
-            let mut metrics = me.metrics.lock();
-            metrics.quarantined += 1;
-        }
-        me.inner.lock().queue.counters.reject(RejectKind::Requeued);
-        entry.tag.resolve(Err(Rejection::Requeued {
-            attempts: entry.attempts + 1,
-        }));
-        return;
-    }
-    for mut entry in batch.entries {
-        entry.attempts += 1;
-        readmit(me, me, entry, policy, now);
-    }
-}
-
 fn worker_loop(
     shard_ix: usize,
     shards: &[Arc<ShardShared>],
@@ -793,19 +595,20 @@ fn worker_loop(
     elastic: &Arc<LiveElastic>,
 ) {
     let me = &shards[shard_ix];
+    let mut live = Live(shards);
     loop {
+        let mut expired = Vec::new();
         let popped = {
             let mut inner = me.inner.lock();
             loop {
-                if !inner.queue.is_empty() {
+                if !inner.shard.queue.is_empty() {
                     // Stamp the wake once the worker holds work: time
                     // blocked on the condvar is idle, which `finalize`
                     // already charges to ImbalanceWait, so it must not
                     // land in the dispatch lane too.
                     let wake = Instant::now();
                     let now = start.elapsed().as_secs_f64();
-                    let depth_frac = inner.queue.len() as f64 / cfg.queue_capacity.max(1) as f64;
-                    break Some((inner.queue.pop_batch(now, &cfg.batch), depth_frac, wake));
+                    break Some((inner.shard.pop(now, &cfg.batch, &mut expired), wake));
                 }
                 if inner.draining {
                     break None;
@@ -813,23 +616,16 @@ fn worker_loop(
                 me.work.wait(&mut inner);
             }
         };
-        let Some((pop, depth_frac, wake)) = popped else {
+        live.resolve(expired);
+        let Some((popped, wake)) = popped else {
             // Queue empty and draining: done. The books are closed
-            // centrally at shutdown (metrics are shared state).
+            // centrally at shutdown (they are shared state).
             return;
         };
+        let Some((batch, depth_frac)) = popped else {
+            continue;
+        };
         let dispatch_start = start.elapsed().as_secs_f64();
-        for entry in pop.expired {
-            let deadline = entry.req.deadline.expect("expired implies a deadline");
-            me.metrics
-                .lock()
-                .record_lost(dispatch_start - entry.arrival);
-            entry.tag.resolve(Err(Rejection::DeadlineExpired {
-                deadline,
-                now: dispatch_start,
-            }));
-        }
-        let Some(batch) = pop.batch else { continue };
 
         // Stash the dispatch before touching it: from here on, a worker
         // death strands nothing — the supervisor finds the batch in the
@@ -872,59 +668,40 @@ fn worker_loop(
                 // worker survives, the batch goes through the
                 // poisoned-batch protocol.
                 let now = start.elapsed().as_secs_f64();
-                quarantine(me, batch, &cfg.supervisor, now);
+                shard::quarantine(&mut live, shard_ix, batch, cfg.supervisor.requeue_s, now);
             }
             Ok(Ok(mut done)) => {
                 // Degrade sub-interactive work when capacity is reduced:
                 // covering for a failed peer, or a queue past the
                 // high-water mark.
-                let peer_failed = shards
-                    .iter()
-                    .enumerate()
-                    .any(|(i, s)| i != shard_ix && !s.alive());
                 let batch_size = batch.len();
                 let shape_key = shard::shape_key(&batch.shape);
                 let arrivals = batch.arrivals();
                 let end = start.elapsed().as_secs_f64();
                 let degradation = shard::degrade_batch(
                     cfg.degraded,
-                    peer_failed,
+                    &live.alive(),
+                    shard_ix,
                     depth_frac,
                     &batch.entries,
                     &mut done.pyramids,
                 );
-                let degraded_count = degradation.iter().filter(|d| d.degraded).count() as u64;
-                for ((entry, pyramid), d) in batch
-                    .entries
-                    .into_iter()
-                    .zip(done.pyramids)
-                    .zip(degradation)
-                {
-                    entry.tag.resolve(Ok(DecomposeResponse {
-                        pyramid,
-                        cache_hit: done.cache_hit,
-                        batch_size,
-                        wait_s: (dispatch_start - entry.arrival).max(0.0),
-                        service_s: (end - dispatch_start).max(0.0),
-                        degraded: d.degraded,
-                        error_bound: d.error_bound,
-                    }));
-                }
+                let lanes = done.lanes(t0.duration_since(wake).as_secs_f64(), exec_s);
+                let degraded = shard::respond(
+                    &mut live,
+                    batch.entries,
+                    done,
+                    degradation,
+                    dispatch_start,
+                    end,
+                );
                 let deliver_s = t1.elapsed().as_secs_f64();
-                let dispatch_s = (t0.duration_since(wake)).as_secs_f64();
-                let split = LaneSplit {
-                    dispatch_s,
-                    // The cache splits build from reuse internally; a
-                    // miss's whole execution interval is conservatively
-                    // split by whether the plan was rebuilt.
-                    plan_s: if done.cache_hit { 0.0 } else { exec_s * 0.5 },
-                    transform_s: if done.cache_hit { exec_s } else { exec_s * 0.5 },
-                    deliver_s,
-                };
-                let mut metrics = me.metrics.lock();
-                metrics.record_batch(dispatch_start, end + deliver_s, &arrivals, split);
-                metrics.degraded_served += degraded_count;
-                drop(metrics);
+                live.with(shard_ix, |st| {
+                    let split = LaneSplit { deliver_s, ..lanes };
+                    st.metrics
+                        .record_batch(dispatch_start, end + deliver_s, &arrivals, split);
+                    st.metrics.degraded_served += degraded;
+                });
                 // Feed the cost book with the measured per-request
                 // service time. `try_lock` only: a held controller is
                 // mid-decision, and one skipped sample is cheaper than
@@ -968,26 +745,16 @@ fn supervisor_loop(
             if handles[s].as_ref().is_some_and(|h| h.is_finished()) {
                 let handle = handles[s].take().expect("presence just checked");
                 if handle.join().is_err() {
-                    let me = &shards[s];
-                    let restart_no = me.restarts.load(Ordering::SeqCst) + 1;
-                    if restart_no <= policy.max_restarts {
-                        me.restarts.store(restart_no, Ordering::SeqCst);
-                        // Re-queue the dispatch the dead worker held;
-                        // the worker was the suspect, not the requests,
-                        // so attempts are not bumped.
-                        let stranded = me.in_flight.lock().take();
-                        let now = start.elapsed().as_secs_f64();
-                        if let Some(batch) = stranded {
-                            for entry in batch.entries {
-                                readmit(me, me, entry, &policy, now);
-                            }
-                        }
-                        let backoff = policy.backoff_s(restart_no);
-                        me.metrics.lock().record_restart(backoff);
+                    let stranded = shards[s].in_flight.lock().take();
+                    let stranded = stranded.map_or_else(Vec::new, |b| b.entries);
+                    let now = start.elapsed().as_secs_f64();
+                    let map = elastic.map.lock();
+                    let restarted =
+                        shard::worker_died(&mut Live(shards), &map, s, stranded, &policy, now);
+                    drop(map);
+                    if let Some(backoff) = restarted {
                         thread::sleep(Duration::from_secs_f64(backoff));
                         handles[s] = Some(spawn_worker(s, shards, cfg, start, elastic));
-                    } else {
-                        fail_over(s, shards, &policy, start, elastic);
                     }
                 }
             }
@@ -999,42 +766,5 @@ fn supervisor_loop(
             return;
         }
         thread::sleep(Duration::from_secs_f64(policy.poll_s));
-    }
-}
-
-/// Declare shard `s` failed and re-route its in-flight and queued work
-/// to live successors through the shard map (which degenerates to the
-/// legacy ring without elastic overrides). Entries with no live
-/// successor resolve [`Rejection::ShardFailed`].
-fn fail_over(
-    s: usize,
-    shards: &[Arc<ShardShared>],
-    policy: &SupervisorPolicy,
-    start: Instant,
-    elastic: &Arc<LiveElastic>,
-) {
-    let me = &shards[s];
-    me.failed.store(true, Ordering::SeqCst);
-    me.metrics.lock().failed = true;
-    let restarts = me.restarts.load(Ordering::SeqCst);
-    let now = start.elapsed().as_secs_f64();
-    let stranded = me.in_flight.lock().take();
-    let queued = me.inner.lock().queue.drain();
-    let alive: Vec<bool> = shards.iter().map(|x| x.alive()).collect();
-    let map = elastic.map.lock();
-    for entry in stranded.into_iter().flat_map(|b| b.entries).chain(queued) {
-        match map.route(&entry.req.shape(), &alive) {
-            Some(target) => readmit(me, &shards[target], entry, policy, now),
-            None => {
-                me.inner
-                    .lock()
-                    .queue
-                    .counters
-                    .reject(RejectKind::ShardFailed);
-                entry
-                    .tag
-                    .resolve(Err(Rejection::ShardFailed { shard: s, restarts }));
-            }
-        }
     }
 }

@@ -1,10 +1,11 @@
 //! Deterministic discrete-event driver.
 //!
-//! The simulator reuses the *same* policy state machines as the live
-//! server — [`AdmissionQueue`], [`BatchPolicy`] coalescing,
-//! [`PlanCache`] — but advances a virtual clock and prices each stage
-//! with an analytic [`CostModel`] instead of reading wall time. Two
-//! consequences:
+//! The simulator makes every serving decision through the same shared
+//! policy as the live server ([`crate::shard`]), but advances a virtual
+//! clock and prices each stage with an analytic [`CostModel`] instead
+//! of reading wall time. What stays its own is that clock: each shard's
+//! next free moment, the cost model's prices, and the activation
+//! windows of elastic reserve slots. Two consequences:
 //!
 //! 1. **Byte-reproducible benchmarks.** Every latency number is a pure
 //!    function of (config, cost model, arrival stream); running the
@@ -18,10 +19,8 @@
 //! once. Arrivals are admitted at their own timestamps before any
 //! dispatch at or after them, which reproduces the live ordering. The
 //! loop injects the configuration's seeded
-//! [`crate::faults::ShardFaultPlan`] and models the live driver's
-//! recovery machinery — supervisor restarts with backoff,
-//! poisoned-batch quarantine, failover re-routing, degraded-mode
-//! responses — and its elastic control plane. A failed shard or an
+//! [`crate::faults::ShardFaultPlan`] and runs the shared recovery and
+//! elastic control plane. A failed shard or an
 //! elastic steal changes where *other* shards' work goes, which is why
 //! the shards share one loop. [`run_closed_loop`] drives the same
 //! shard-side machinery with clients and the wire in the loop. Both are
@@ -30,18 +29,15 @@
 
 use std::collections::VecDeque;
 
-use crate::admission::{AdmissionQueue, Admit};
 use crate::cache::PlanCache;
-use crate::elastic::{BalanceAction, BalanceController, QueuedShape, ShardLoad, ShardMap};
+use crate::elastic::{BalanceAction, BalanceController, ShardMap};
 use crate::faults::{WireDir, WireFault, WireFaultPlan};
-use crate::metrics::{Histogram, LaneSplit, MetricsSnapshot, ShardMetrics};
+use crate::metrics::{Histogram, LaneSplit, MetricsSnapshot};
 use crate::progressive::{split_response, Reassembler};
 use crate::remote::RetryPolicy;
-use crate::request::{
-    DecomposeRequest, DecomposeResponse, Entry, RejectKind, Rejection, ServeResult,
-};
+use crate::request::{DecomposeRequest, Entry, RejectKind, Rejection, ServeResult};
 use crate::server::ServiceConfig;
-use crate::shard;
+use crate::shard::{self, Driver, Outcomes, ShardState};
 use crate::transport::TransportError;
 use crate::wire::{self, encode_progressive_header, encode_progressive_plane};
 use dwt::engine::PlanShape;
@@ -123,29 +119,97 @@ impl SimReport {
 
 /// One shard of the simulated service.
 struct SimShard {
-    queue: AdmissionQueue<usize>,
+    state: ShardState<usize>,
     cache: PlanCache,
-    metrics: ShardMetrics,
     /// Virtual time at which the shard's worker is next free.
     t_free: f64,
     /// Shard-local dispatch counter — the fault-injection coordinate,
     /// monotonic across simulated restarts (exactly like the live
     /// driver's shared counter).
     dispatch: u64,
-    restarts: u32,
-    failed: bool,
+    /// Start of the slot's current activation window, if active now
+    /// (time 0 for base shards).
+    activated_at: Option<f64>,
+    /// Seconds of *closed* activation windows so far.
+    active_s: f64,
+    /// End of the slot's last closed activation window.
+    last_end: f64,
 }
 
 impl SimShard {
-    fn new(config: &ServiceConfig) -> Self {
+    fn new(config: &ServiceConfig, active: bool) -> Self {
         SimShard {
-            queue: AdmissionQueue::new(config.queue_capacity),
+            state: ShardState::new(config.queue_capacity),
             cache: PlanCache::new(config.cache_capacity, config.engine_threads),
-            metrics: ShardMetrics::default(),
             t_free: 0.0,
             dispatch: 0,
-            restarts: 0,
-            failed: false,
+            activated_at: active.then_some(0.0),
+            active_s: 0.0,
+            last_end: 0.0,
+        }
+    }
+}
+
+/// Every shard slot of a simulation and one outcome slot per request:
+/// what the shared policy in [`crate::shard`] drives.
+struct SimShards {
+    shards: Vec<SimShard>,
+    outcomes: Vec<Option<ServeResult>>,
+}
+
+impl Driver<usize> for SimShards {
+    fn with<R>(&mut self, s: usize, f: impl FnOnce(&mut ShardState<usize>) -> R) -> R {
+        f(&mut self.shards[s].state)
+    }
+
+    fn with_pair<R>(
+        &mut self,
+        a: usize,
+        b: usize,
+        f: impl FnOnce(&mut ShardState<usize>, &mut ShardState<usize>) -> R,
+    ) -> R {
+        debug_assert_ne!(a, b, "a pair is two distinct shards");
+        let (below, above) = self.shards.split_at_mut(a.max(b));
+        let (first, second) = (&mut below[a.min(b)].state, &mut above[0].state);
+        if a < b {
+            f(first, second)
+        } else {
+            f(second, first)
+        }
+    }
+
+    fn alive(&self) -> Vec<bool> {
+        self.shards
+            .iter()
+            .map(|sh| !sh.state.metrics.failed)
+            .collect()
+    }
+
+    fn resolve(&mut self, out: Outcomes<usize>) {
+        for (ix, result) in out {
+            self.outcomes[ix] = Some(result);
+        }
+    }
+
+    /// An idle shard cannot dispatch work before the work exists.
+    fn offered(&mut self, s: usize, now: f64, was_idle: bool) {
+        if was_idle {
+            let sh = &mut self.shards[s];
+            sh.t_free = sh.t_free.max(now);
+        }
+    }
+
+    fn activated(&mut self, s: usize, now: f64) {
+        let sh = &mut self.shards[s];
+        sh.activated_at = Some(now);
+        sh.t_free = sh.t_free.max(now);
+    }
+
+    fn retired(&mut self, s: usize, now: f64) {
+        let sh = &mut self.shards[s];
+        if let Some(t0) = sh.activated_at.take() {
+            sh.active_s += now.max(t0) - t0;
+            sh.last_end = sh.last_end.max(now).max(sh.t_free);
         }
     }
 }
@@ -157,9 +221,8 @@ impl SimShard {
 struct ShardSide<'a> {
     config: &'a ServiceConfig,
     cost: &'a CostModel,
-    shards: Vec<SimShard>,
     map: ShardMap,
-    outcomes: Vec<Option<ServeResult>>,
+    pool: SimShards,
 }
 
 impl<'a> ShardSide<'a> {
@@ -174,9 +237,13 @@ impl<'a> ShardSide<'a> {
         ShardSide {
             config,
             cost,
-            shards: (0..slots).map(|_| SimShard::new(config)).collect(),
             map: ShardMap::new(nshards, slots - nshards),
-            outcomes: (0..requests).map(|_| None).collect(),
+            pool: SimShards {
+                shards: (0..slots)
+                    .map(|s| SimShard::new(config, s < nshards))
+                    .collect(),
+                outcomes: (0..requests).map(|_| None).collect(),
+            },
         }
     }
 
@@ -188,8 +255,9 @@ impl<'a> ShardSide<'a> {
             Ok(()) => Some(req),
             Err(rejection) => {
                 let home = self.map.home(&req.shape());
-                self.shards[home].queue.counters.reject(RejectKind::Invalid);
-                self.outcomes[ix] = Some(Err(rejection));
+                let counters = &mut self.pool.shards[home].state.queue.counters;
+                counters.reject(RejectKind::Invalid);
+                self.pool.outcomes[ix] = Some(Err(rejection));
                 None
             }
         }
@@ -200,19 +268,12 @@ impl<'a> ShardSide<'a> {
     /// ring successors); rejections are accounted to the shape's stable
     /// FNV home, which elastic actions never move.
     fn arrive(&mut self, t: f64, ix: usize, req: DecomposeRequest) {
-        let shape = req.shape();
-        let home = self.map.home(&shape);
-        let Some(target) = self.map.route(&shape, &self.alive()) else {
-            let restarts = self.shards[home].restarts;
-            self.shards[home]
-                .queue
-                .counters
-                .reject(RejectKind::ShardFailed);
-            self.outcomes[ix] = Some(Err(Rejection::ShardFailed {
-                shard: home,
-                restarts,
-            }));
-            return;
+        let target = match shard::route_arrival(&mut self.pool, &self.map, &req.shape()) {
+            Ok(target) => target,
+            Err(rejection) => {
+                self.pool.outcomes[ix] = Some(Err(rejection));
+                return;
+            }
         };
         let entry = Entry {
             id: ix as u64,
@@ -221,80 +282,19 @@ impl<'a> ShardSide<'a> {
             attempts: 0,
             tag: ix,
         };
-        self.admit(target, entry, t);
-    }
-
-    fn alive(&self) -> Vec<bool> {
-        self.shards.iter().map(|sh| !sh.failed).collect()
+        shard::admit(&mut self.pool, target, entry, t);
     }
 
     /// The next dispatch `(moment, shard)` across live shards with
     /// queued work; ties go to the lower shard index.
     fn next_dispatch(&self) -> Option<(f64, usize)> {
-        self.shards
+        self.pool
+            .shards
             .iter()
             .enumerate()
-            .filter(|(_, sh)| !sh.failed && !sh.queue.is_empty())
+            .filter(|(_, sh)| !sh.state.metrics.failed && !sh.state.queue.is_empty())
             .map(|(s, sh)| (sh.t_free, s))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-    }
-
-    /// Admit one entry into `target`'s queue at virtual time `t`,
-    /// resolving shed victims and refusals. An idle shard's free time
-    /// advances to the admission time (it cannot dispatch work before
-    /// the work exists).
-    fn admit(&mut self, target: usize, entry: Entry<usize>, t: f64) -> bool {
-        let incoming = entry.req.priority;
-        let sh = &mut self.shards[target];
-        if sh.queue.is_empty() {
-            sh.t_free = sh.t_free.max(t);
-        }
-        match sh.queue.admit(t, entry) {
-            Admit::Accepted => true,
-            Admit::AcceptedShedding(victim) => {
-                sh.metrics.record_lost((t - victim.arrival).max(0.0));
-                self.outcomes[victim.tag] = Some(Err(Rejection::Shed { by: incoming }));
-                true
-            }
-            Admit::Rejected(e, rejection) => {
-                self.outcomes[e.tag] = Some(Err(rejection));
-                false
-            }
-        }
-    }
-
-    /// Re-admit a recovered entry, charging the requeue handoff to
-    /// shard `charge` (the shard whose failure caused it).
-    fn readmit(&mut self, charge: usize, target: usize, entry: Entry<usize>, t: f64) {
-        if self.admit(target, entry, t) {
-            self.shards[charge]
-                .metrics
-                .record_requeue(self.config.supervisor.requeue_s);
-        }
-    }
-
-    /// Fail shard `s` over: re-route its in-flight (`batch`) and queued
-    /// entries to live ring successors; entries with no survivor
-    /// resolve [`Rejection::ShardFailed`].
-    fn fail_over(&mut self, s: usize, batch: crate::batch::Batch<usize>, t: f64) {
-        self.shards[s].failed = true;
-        self.shards[s].metrics.failed = true;
-        let restarts = self.shards[s].restarts;
-        let queued = self.shards[s].queue.drain();
-        let alive = self.alive();
-        for entry in batch.entries.into_iter().chain(queued) {
-            match self.map.route(&entry.req.shape(), &alive) {
-                Some(target) => self.readmit(s, target, entry, t),
-                None => {
-                    self.shards[s]
-                        .queue
-                        .counters
-                        .reject(RejectKind::ShardFailed);
-                    self.outcomes[entry.tag] =
-                        Some(Err(Rejection::ShardFailed { shard: s, restarts }));
-                }
-            }
-        }
     }
 
     /// One dispatch on shard `s` at its free time, with fault
@@ -302,33 +302,31 @@ impl<'a> ShardSide<'a> {
     /// batch's per-request service time folded into its cost book.
     fn dispatch(&mut self, s: usize, ctrl: Option<&mut BalanceController>) {
         let (config, cost) = (self.config, self.cost);
-        let t = self.shards[s].t_free;
-        let depth_frac = self.shards[s].queue.len() as f64 / config.queue_capacity.max(1) as f64;
-        let pop = self.shards[s].queue.pop_batch(t, &config.batch);
-        for e in pop.expired {
-            let deadline = e.req.deadline.expect("expired implies a deadline");
-            self.shards[s].metrics.record_lost((t - e.arrival).max(0.0));
-            self.outcomes[e.tag] = Some(Err(Rejection::DeadlineExpired { deadline, now: t }));
-        }
-        let Some(batch) = pop.batch else { return };
-        let k = self.shards[s].dispatch;
-        self.shards[s].dispatch += 1;
+        let t = self.pool.shards[s].t_free;
+        let mut expired = Vec::new();
+        let popped = self.pool.shards[s]
+            .state
+            .pop(t, &config.batch, &mut expired);
+        self.pool.resolve(expired);
+        let Some((batch, depth_frac)) = popped else {
+            return;
+        };
+        let k = self.pool.shards[s].dispatch;
+        self.pool.shards[s].dispatch += 1;
 
         if config.faults.worker_dies(s, k) {
-            let restart_no = self.shards[s].restarts + 1;
-            if config.supervisor.enabled() && restart_no <= config.supervisor.max_restarts {
-                // Supervisor restart: the dead worker's dispatch re-queues
-                // (the worker was the suspect, attempts stay), the shard
-                // pays the backoff in virtual time.
-                self.shards[s].restarts = restart_no;
-                let backoff = config.supervisor.backoff_s(restart_no);
-                self.shards[s].metrics.record_restart(backoff);
-                for entry in batch.entries {
-                    self.readmit(s, s, entry, t);
-                }
-                self.shards[s].t_free = t + backoff;
-            } else {
-                self.fail_over(s, batch, t);
+            // Within the budget the shard pays the restart backoff in
+            // virtual time; past it the shard has failed over.
+            let restarted = shard::worker_died(
+                &mut self.pool,
+                &self.map,
+                s,
+                batch.entries,
+                &config.supervisor,
+                t,
+            );
+            if let Some(backoff) = restarted {
+                self.pool.shards[s].t_free = t + backoff;
             }
             return;
         }
@@ -336,33 +334,16 @@ impl<'a> ShardSide<'a> {
         if batch.entries.iter().any(|e| config.faults.poisoned(e.id)) {
             // Execution panics; the quarantine runs in-thread after one
             // dispatch overhead's worth of work.
-            if batch.len() == 1 {
-                let entry = batch.entries.into_iter().next().expect("len checked");
-                self.shards[s].metrics.quarantined += 1;
-                self.shards[s].queue.counters.reject(RejectKind::Requeued);
-                self.outcomes[entry.tag] = Some(Err(Rejection::Requeued {
-                    attempts: entry.attempts + 1,
-                }));
-            } else {
-                for mut entry in batch.entries {
-                    entry.attempts += 1;
-                    self.readmit(s, s, entry, t);
-                }
-            }
-            self.shards[s].t_free = t + cost.dispatch_s;
+            shard::quarantine(&mut self.pool, s, batch, config.supervisor.requeue_s, t);
+            self.pool.shards[s].t_free = t + cost.dispatch_s;
             return;
         }
 
-        let peer_failed = self
-            .shards
-            .iter()
-            .enumerate()
-            .any(|(i, sh)| i != s && sh.failed);
-        let mut done = match shard::execute(&mut self.shards[s].cache, &batch) {
+        let mut done = match shard::execute(&mut self.pool.shards[s].cache, &batch) {
             Ok(done) => done,
             Err(detail) => {
                 for entry in batch.entries {
-                    self.outcomes[entry.tag] = Some(Err(Rejection::Invalid {
+                    self.pool.outcomes[entry.tag] = Some(Err(Rejection::Invalid {
                         detail: detail.clone(),
                     }));
                 }
@@ -371,7 +352,8 @@ impl<'a> ShardSide<'a> {
         };
         let degradation = shard::degrade_batch(
             config.degraded,
-            peer_failed,
+            &self.pool.alive(),
+            s,
             depth_frac,
             &batch.entries,
             &mut done.pyramids,
@@ -396,8 +378,8 @@ impl<'a> ShardSide<'a> {
         } else {
             t + cost.dispatch_s + (plan_s + transform_s) * stall + deliver_s
         };
-        let sh = &mut self.shards[s];
-        sh.metrics.record_batch(
+        let sh = &mut self.pool.shards[s];
+        sh.state.metrics.record_batch(
             t,
             end,
             &batch.arrivals(),
@@ -408,7 +390,6 @@ impl<'a> ShardSide<'a> {
                 deliver_s,
             },
         );
-        sh.metrics.degraded_served += degradation.iter().filter(|d| d.degraded).count() as u64;
         if let Some(ctrl) = ctrl {
             // Feed the cost book the per-request service time — the
             // same signal the live workers feed it.
@@ -418,182 +399,41 @@ impl<'a> ShardSide<'a> {
             );
         }
         sh.t_free = end;
-        for ((entry, pyramid), d) in batch
-            .entries
-            .into_iter()
-            .zip(done.pyramids)
-            .zip(degradation)
-        {
-            self.outcomes[entry.tag] = Some(Ok(DecomposeResponse {
-                pyramid,
-                cache_hit: done.cache_hit,
-                batch_size,
-                wait_s: (t - entry.arrival).max(0.0),
-                service_s: end - t,
-                degraded: d.degraded,
-                error_bound: d.error_bound,
-            }));
-        }
-    }
-
-    /// Move one already-admitted entry from `from`'s queue into `to`'s.
-    /// Counter-neutral on the door books (the entry was accepted once,
-    /// at its original shard); an idle target's free time advances to
-    /// the migration moment, exactly like [`ShardSide::admit`]'s idle
-    /// rule.
-    fn migrate(&mut self, from: usize, to: usize, entry: Entry<usize>, t: f64) {
-        if self.shards[to].queue.is_empty() {
-            self.shards[to].t_free = self.shards[to].t_free.max(t);
-        }
-        self.shards[to].queue.accept_migrated(entry);
-        self.shards[from].metrics.stolen_out += 1;
-        self.shards[to].metrics.stolen_in += 1;
-    }
-
-    /// One controller step at virtual time `t`: census every slot, ask
-    /// for a decision, apply it as queue surgery + map mutation, log it.
-    fn elastic_step(&mut self, rt: &mut ElasticRt, t: f64) {
-        if !rt.ctrl.ready(t) {
-            return;
-        }
-        let loads: Vec<ShardLoad> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, sh)| ShardLoad {
-                active: self.map.is_active(s),
-                failed: sh.failed,
-                depth: sh.queue.len(),
-                free: sh.queue.free(),
-                queued: sh
-                    .queue
-                    .shape_census()
-                    .into_iter()
-                    .map(|(shape, count, movable)| QueuedShape {
-                        key: shard::shape_key(&shape),
-                        shape,
-                        count,
-                        movable,
-                    })
-                    .collect(),
-            })
-            .collect();
-        let Some(action) = rt.ctrl.decide(t, &loads) else {
-            return;
-        };
-        match &action {
-            BalanceAction::Steal { from, to, key, cap } => {
-                let (from, to) = (*from, *to);
-                let cap = (*cap).min(self.shards[to].queue.free());
-                for entry in self.shards[from].queue.take_shape(*key, cap) {
-                    self.migrate(from, to, entry, t);
-                }
-            }
-            BalanceAction::Split { from, to, keys } => {
-                let (from, to) = (*from, *to);
-                self.map.activate(to);
-                rt.activated_at[to] = Some(t);
-                rt.ever_active[to] = true;
-                self.shards[to].t_free = self.shards[to].t_free.max(t);
-                for &key in keys {
-                    self.map.set_override(key, to);
-                    let cap = self.shards[to].queue.free();
-                    for entry in self.shards[from].queue.take_shape(key, cap) {
-                        self.migrate(from, to, entry, t);
-                    }
-                }
-                self.shards[from].metrics.splits += 1;
-            }
-            BalanceAction::Merge { from } => {
-                let from = *from;
-                for key in self.map.overrides_to(from) {
-                    self.map.clear_override(key);
-                }
-                self.map.retire(from);
-                if let Some(t0) = rt.activated_at[from].take() {
-                    rt.active_s[from] += t.max(t0) - t0;
-                    rt.last_end[from] = rt.last_end[from].max(t).max(self.shards[from].t_free);
-                }
-                self.shards[from].metrics.merges += 1;
-                // Drain the retiring queue losslessly back through the
-                // map. The merge threshold keeps this drain tiny
-                // (usually empty); should every routable queue be full
-                // anyway, the entry resolves a typed QueueFull rather
-                // than vanishing.
-                let alive = self.alive();
-                for entry in self.shards[from].queue.drain() {
-                    let routed = self
-                        .map
-                        .route(&entry.req.shape(), &alive)
-                        .filter(|&tgt| self.shards[tgt].queue.free() > 0)
-                        .or_else(|| {
-                            (0..self.shards.len()).find(|&x| {
-                                self.map.is_active(x)
-                                    && !self.shards[x].failed
-                                    && self.shards[x].queue.free() > 0
-                            })
-                        });
-                    match routed {
-                        Some(target) => self.migrate(from, target, entry, t),
-                        None => {
-                            let depth = self.shards[from].queue.len();
-                            self.shards[from]
-                                .queue
-                                .counters
-                                .reject(RejectKind::QueueFull);
-                            self.outcomes[entry.tag] = Some(Err(Rejection::QueueFull { depth }));
-                        }
-                    }
-                }
-            }
-        }
-        rt.actions.push((t, action));
+        let degraded = shard::respond(&mut self.pool, batch.entries, done, degradation, t, end);
+        self.pool.shards[s].state.metrics.degraded_served += degraded;
     }
 
     /// Close every shard's books at the end of a run. Returns the
     /// outcome slots, the metrics of every shard that served (base
     /// shards, then activated reserve slots), and the moment the last
     /// of them went idle.
-    fn close_books(
-        self,
-        mut rt: Option<&mut ElasticRt>,
-    ) -> (Vec<Option<ServeResult>>, MetricsSnapshot, f64) {
-        let nshards = self.config.shards.max(1);
+    ///
+    /// A reserve slot that never activated has no books to close (it
+    /// routed nothing, served nothing) — including it with completion
+    /// 0 would misread the whole run as imbalance. Activation always
+    /// picks the lowest inactive slot, so the omitted slots are a
+    /// suffix and the emitted indices are stable. Every shard owes idle
+    /// time only over its activation windows (a base shard's one
+    /// window opens at time 0).
+    fn close_books(self) -> (Vec<Option<ServeResult>>, MetricsSnapshot, f64) {
         let mut makespan_s: f64 = 0.0;
-        let mut out_shards = Vec::with_capacity(self.shards.len());
-        for (s, mut sh) in self.shards.into_iter().enumerate() {
-            sh.metrics.queue = sh.queue.counters.clone();
-            sh.metrics.absorb_cache(&sh.cache);
-            if s < nshards {
-                makespan_s = makespan_s.max(sh.t_free);
-                sh.metrics.finalize(sh.t_free);
-                out_shards.push(sh.metrics);
+        let mut out_shards = Vec::with_capacity(self.pool.shards.len());
+        for (s, sh) in self.pool.shards.into_iter().enumerate() {
+            if !self.map.ever_active(s) {
                 continue;
             }
-            // Reserve slots: a slot that never activated has no books
-            // to close (it routed nothing, served nothing) — including
-            // it with completion 0 would misread the whole run as
-            // imbalance. Activation always picks the lowest inactive
-            // slot, so the omitted slots are a suffix and the emitted
-            // indices are stable. An activated slot owes idle time only
-            // over its active windows.
-            let rt = rt.as_mut().expect("reserve slots exist only with elastic");
-            if !rt.ever_active[s] {
-                continue;
-            }
-            let (active_s, end) = match rt.activated_at[s].take() {
+            let (active_s, end) = match sh.activated_at {
                 Some(t0) => {
                     let end = sh.t_free.max(t0);
-                    (rt.active_s[s] + end - t0, end)
+                    (sh.active_s + end - t0, end)
                 }
-                None => (rt.active_s[s], rt.last_end[s]),
+                None => (sh.active_s, sh.last_end),
             };
             makespan_s = makespan_s.max(end);
-            sh.metrics.finalize_active(active_s, end);
-            out_shards.push(sh.metrics);
+            out_shards.push(sh.state.books(&sh.cache, active_s, end));
         }
         (
-            self.outcomes,
+            self.pool.outcomes,
             MetricsSnapshot { shards: out_shards },
             makespan_s,
         )
@@ -604,26 +444,13 @@ impl<'a> ShardSide<'a> {
 /// times, virtual seconds) as one joint multi-shard discrete-event loop
 /// and return every outcome plus the metrics.
 ///
-/// The configuration's [`crate::faults::ShardFaultPlan`] is injected
-/// with the live driver's semantics, event for event:
-///
-/// * a worker death scheduled at a dispatch index fires at that shard's
-///   k-th dispatch; within the restart budget the dispatch's entries
-///   re-queue (attempts unchanged) and the shard pays the exponential
-///   backoff in virtual time, both charged to the FaultRecovery lane;
-/// * past the budget the shard fails over: queued and in-flight work
-///   re-routes to live ring successors ([`shard::route`]), entries with
-///   no survivor resolve [`Rejection::ShardFailed`], and subsequent
-///   arrivals route around the corpse;
-/// * a poisoned batch panics at execution: batchmates re-queue to retry
-///   solo (attempts + 1), a solo poison resolves
-///   [`Rejection::Requeued`];
-/// * stall windows multiply the dispatch's compute time;
-/// * with a [`crate::faults::DegradedPolicy`], sub-interactive work on
-///   a pressured shard (peer failed, or queue past the high-water
-///   fraction) is answered with threshold-quantized detail planes and
-///   the policy's error bound, delivery priced by surviving
-///   coefficients ([`shard::degrade_batch`]).
+/// The configuration's [`crate::faults::ShardFaultPlan`] fires at the
+/// same shard-local dispatch indices as in the live driver, and the
+/// recovery is the shared policy of [`crate::shard`]: restarts within
+/// the budget (the backoff paid in virtual time), failover past it, the
+/// poisoned-batch quarantine, degraded responses. Stall windows
+/// multiply the dispatch's compute time, and a degraded response's
+/// delivery is priced by its surviving coefficients.
 ///
 /// With [`ServiceConfig::elastic`] the balance controller runs after
 /// every event at that event's virtual time, and its steals, splits
@@ -641,7 +468,8 @@ pub fn run_sim(
     if let Some(e) = &config.elastic {
         e.validate().expect("invalid elastic policy");
     }
-    let mut rt: Option<ElasticRt> = config.elastic.map(|policy| ElasticRt::new(policy, total));
+    let mut ctrl = config.elastic.map(BalanceController::new);
+    let mut actions = Vec::new();
     let mut arrivals: VecDeque<(f64, usize, DecomposeRequest)> = VecDeque::new();
     let mut last_t = f64::NEG_INFINITY;
     for (ix, (t, req)) in stream.into_iter().enumerate() {
@@ -664,7 +492,7 @@ pub fn run_sim(
             side.arrive(ta, ix, req);
             ta
         } else if let Some((td, s)) = next_dispatch {
-            side.dispatch(s, rt.as_mut().map(|r| &mut r.ctrl));
+            side.dispatch(s, ctrl.as_mut());
             td
         } else {
             break;
@@ -672,12 +500,14 @@ pub fn run_sim(
         // The controller runs after every event, at that event's
         // virtual time — the sim-side mirror of the live driver's
         // submit-path tick.
-        if let Some(rt) = rt.as_mut() {
-            side.elastic_step(rt, now);
+        if let Some(ctrl) = ctrl.as_mut() {
+            if let Some(action) = shard::rebalance(&mut side.pool, &mut side.map, ctrl, now) {
+                actions.push((now, action));
+            }
         }
     }
 
-    let (outcomes, metrics, makespan_s) = side.close_books(rt.as_mut());
+    let (outcomes, metrics, makespan_s) = side.close_books();
     SimReport {
         outcomes: outcomes
             .into_iter()
@@ -685,36 +515,7 @@ pub fn run_sim(
             .collect(),
         metrics,
         makespan_s,
-        actions: rt.map(|r| r.actions).unwrap_or_default(),
-    }
-}
-
-/// The elastic control plane's runtime state inside [`run_sim`]: the
-/// controller itself, per-slot activation windows (for honest imbalance
-/// accounting of reserve-born shards), and the decision log.
-struct ElasticRt {
-    ctrl: BalanceController,
-    /// Start of the slot's current activation window, if active now.
-    activated_at: Vec<Option<f64>>,
-    /// Seconds of *closed* activation windows accumulated so far.
-    active_s: Vec<f64>,
-    /// End of the slot's last closed activation window.
-    last_end: Vec<f64>,
-    /// Whether the slot was ever activated (split at least once).
-    ever_active: Vec<bool>,
-    actions: Vec<(f64, BalanceAction)>,
-}
-
-impl ElasticRt {
-    fn new(policy: crate::elastic::ElasticPolicy, total: usize) -> Self {
-        ElasticRt {
-            ctrl: BalanceController::new(policy),
-            activated_at: vec![None; total],
-            active_s: vec![0.0; total],
-            last_end: vec![0.0; total],
-            ever_active: vec![false; total],
-            actions: Vec::new(),
-        }
+        actions,
     }
 }
 
@@ -1000,6 +801,9 @@ struct SimClient {
     /// Outcome slot the client is waiting on, once its request has
     /// reached the service.
     waiting_ix: Option<usize>,
+    /// When the client next submits (`None` while it waits or once it
+    /// is done).
+    next_submit: Option<f64>,
 }
 
 /// What the send half of one attempt concluded.
@@ -1284,62 +1088,61 @@ fn deliver_result(
     }
 }
 
-/// Move a client past its finished request: record the terminal moment
-/// and schedule the next submit (or retire the client).
-fn advance_client(
-    cl: &ClosedLoopConfig,
-    sc: &mut SimClient,
-    next_action: &mut Option<f64>,
-    t: f64,
-) {
-    sc.next_k += 1;
-    if sc.next_k < cl.reqs_per_client {
-        *next_action = Some(t + cl.think_s);
-    }
+/// The client half of a closed-loop run: every client, what each
+/// request's client observed, and the wire's books.
+struct ClientSide {
+    clients: Vec<SimClient>,
+    /// Client-observed outcome per request.
+    outcomes: Vec<Option<ClientOutcome>>,
+    latency: Histogram,
+    acc: WireLedger,
+    last_delivery: f64,
 }
 
-/// Turn freshly visible resolutions into deliveries. `now` is the
-/// event time that made them visible: a served outcome surfaced by the
-/// dispatch starting at `now` resolves at `now + service_s`; rejection
-/// moments not carried by the outcome use `now` itself.
-#[allow(clippy::too_many_arguments)]
-fn drain_resolutions(
-    cl: &ClosedLoopConfig,
-    shapes: &[PlanShape],
-    clients: &mut [SimClient],
-    next_action: &mut [Option<f64>],
-    outcomes: &[Option<ServeResult>],
-    client_out: &mut [Option<ClientOutcome>],
-    latency: &mut Histogram,
-    acc: &mut WireLedger,
-    last_delivery: &mut f64,
-    now: f64,
-) {
-    for c in 0..clients.len() {
-        let Some(ix) = clients[c].waiting_ix else {
-            continue;
-        };
-        let Some(res) = outcomes[ix].clone() else {
-            continue;
-        };
-        clients[c].waiting_ix = None;
-        let t_res = match &res {
-            Ok(resp) => now + resp.service_s,
-            Err(Rejection::DeadlineExpired { now: tx, .. }) => *tx,
-            Err(_) => now,
-        };
-        let conn = c as u64;
-        match deliver_result(cl, &mut clients[c], conn, &shapes[ix], t_res, &res, acc) {
-            Ok((td, assembled)) => {
-                latency.record(td - clients[c].first_submit);
-                *last_delivery = last_delivery.max(td);
-                client_out[ix] = Some(Ok(assembled));
-                advance_client(cl, &mut clients[c], &mut next_action[c], td);
-            }
-            Err((tl, err)) => {
-                *last_delivery = last_delivery.max(tl);
-                client_out[ix] = Some(Err(err));
-                advance_client(cl, &mut clients[c], &mut next_action[c], tl);
+impl ClientSide {
+    /// Record request `ix`'s terminal outcome at its client `c` at time
+    /// `t`, and schedule the client's next submit (or retire it).
+    fn finish(&mut self, cl: &ClosedLoopConfig, c: usize, ix: usize, t: f64, out: ClientOutcome) {
+        self.last_delivery = self.last_delivery.max(t);
+        self.outcomes[ix] = Some(out);
+        let sc = &mut self.clients[c];
+        sc.next_k += 1;
+        if sc.next_k < cl.reqs_per_client {
+            sc.next_submit = Some(t + cl.think_s);
+        }
+    }
+
+    /// Turn freshly visible resolutions into deliveries. `now` is the
+    /// event time that made them visible: a served outcome surfaced by
+    /// the dispatch starting at `now` resolves at `now + service_s`;
+    /// rejection moments not carried by the outcome use `now` itself.
+    fn drain_resolutions(
+        &mut self,
+        cl: &ClosedLoopConfig,
+        shapes: &[PlanShape],
+        resolved: &[Option<ServeResult>],
+        now: f64,
+    ) {
+        for c in 0..self.clients.len() {
+            let Some(ix) = self.clients[c].waiting_ix else {
+                continue;
+            };
+            let Some(res) = resolved[ix].clone() else {
+                continue;
+            };
+            self.clients[c].waiting_ix = None;
+            let t_res = match &res {
+                Ok(resp) => now + resp.service_s,
+                Err(Rejection::DeadlineExpired { now: tx, .. }) => *tx,
+                Err(_) => now,
+            };
+            let sc = &mut self.clients[c];
+            match deliver_result(cl, sc, c as u64, &shapes[ix], t_res, &res, &mut self.acc) {
+                Ok((td, assembled)) => {
+                    self.latency.record(td - sc.first_submit);
+                    self.finish(cl, c, ix, td, Ok(assembled));
+                }
+                Err((tl, err)) => self.finish(cl, c, ix, tl, Err(err)),
             }
         }
     }
@@ -1390,45 +1193,41 @@ pub fn run_closed_loop(
     let n = requests.len();
     let shapes: Vec<PlanShape> = requests.iter().map(|r| r.shape()).collect();
     let mut pool: Vec<Option<DecomposeRequest>> = requests.into_iter().map(Some).collect();
-    let mut client_out: Vec<Option<ClientOutcome>> = (0..n).map(|_| None).collect();
-    let mut latency = Histogram::default();
-    let mut acc = WireLedger::default();
-    let mut last_delivery: f64 = 0.0;
 
     // Every client connects (handshake already counted as frame 0 each
     // way by starting the counters at 1) and schedules its first
     // submit.
-    let mut clients: Vec<SimClient> = (0..cl.clients)
-        .map(|_| SimClient {
-            c2s: 1,
-            s2c: 1,
-            next_k: 0,
-            first_submit: 0.0,
-            attempts: 0,
-            waiting_ix: None,
-        })
-        .collect();
-    acc.frames += 2 * cl.clients as u64;
-    acc.comm_s += cl.wire.handshake_s() * cl.clients as f64;
-    let mut next_action: Vec<Option<f64>> = (0..cl.clients)
-        .map(|c| {
-            if cl.reqs_per_client == 0 {
-                None
-            } else {
-                Some(c as f64 * cl.client_stagger_s + cl.wire.handshake_s())
-            }
-        })
-        .collect();
+    let mut cs = ClientSide {
+        clients: (0..cl.clients)
+            .map(|c| SimClient {
+                c2s: 1,
+                s2c: 1,
+                next_k: 0,
+                first_submit: 0.0,
+                attempts: 0,
+                waiting_ix: None,
+                next_submit: (cl.reqs_per_client > 0)
+                    .then(|| c as f64 * cl.client_stagger_s + cl.wire.handshake_s()),
+            })
+            .collect(),
+        outcomes: (0..n).map(|_| None).collect(),
+        latency: Histogram::default(),
+        acc: WireLedger::default(),
+        last_delivery: 0.0,
+    };
+    cs.acc.frames += 2 * cl.clients as u64;
+    cs.acc.comm_s += cl.wire.handshake_s() * cl.clients as f64;
     // Request frames in flight toward the service:
     // (arrival time, send order, outcome ix).
     let mut wire_in: Vec<(f64, u64, usize)> = Vec::new();
     let mut wire_seq = 0u64;
 
     loop {
-        let next_submit = next_action
+        let next_submit = cs
+            .clients
             .iter()
             .enumerate()
-            .filter_map(|(c, t)| t.map(|t| (t, c)))
+            .filter_map(|(c, sc)| sc.next_submit.map(|t| (t, c)))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let next_arrival = wire_in
             .iter()
@@ -1450,23 +1249,19 @@ pub fn run_closed_loop(
             // (the server is oblivious until then, so nothing else can
             // interleave).
             let (_, c) = next_submit.expect("ts finite implies a submit");
-            next_action[c] = None;
-            let conn = c as u64;
-            let ix = c * cl.reqs_per_client + clients[c].next_k;
-            clients[c].first_submit = ts;
-            clients[c].attempts = 1;
+            let sc = &mut cs.clients[c];
+            sc.next_submit = None;
+            let ix = c * cl.reqs_per_client + sc.next_k;
+            sc.first_submit = ts;
+            sc.attempts = 1;
             let one_way = cl.wire.request_s(&shapes[ix]);
-            match send_until_arrives(cl, &mut clients[c], conn, ts, one_way, &mut acc) {
+            match send_until_arrives(cl, sc, c as u64, ts, one_way, &mut cs.acc) {
                 Ok(tarr) => {
                     wire_in.push((tarr, wire_seq, ix));
                     wire_seq += 1;
-                    clients[c].waiting_ix = Some(ix);
+                    sc.waiting_ix = Some(ix);
                 }
-                Err((tl, err)) => {
-                    last_delivery = last_delivery.max(tl);
-                    client_out[ix] = Some(Err(err));
-                    advance_client(cl, &mut clients[c], &mut next_action[c], tl);
-                }
+                Err((tl, err)) => cs.finish(cl, c, ix, tl, Err(err)),
             }
         } else {
             let t = if ta <= td {
@@ -1483,30 +1278,21 @@ pub fn run_closed_loop(
                 side.dispatch(s, None);
                 t
             };
-            drain_resolutions(
-                cl,
-                &shapes,
-                &mut clients,
-                &mut next_action,
-                &side.outcomes,
-                &mut client_out,
-                &mut latency,
-                &mut acc,
-                &mut last_delivery,
-                t,
-            );
+            cs.drain_resolutions(cl, &shapes, &side.pool.outcomes, t);
         }
     }
 
-    let (_, metrics, shards_idle_at) = side.close_books(None);
+    let (_, metrics, shards_idle_at) = side.close_books();
+    let acc = cs.acc;
     ClosedLoopReport {
-        outcomes: client_out
+        outcomes: cs
+            .outcomes
             .into_iter()
             .map(|o| o.expect("every request terminates at its client"))
             .collect(),
         metrics,
-        latency,
-        makespan_s: last_delivery.max(shards_idle_at),
+        latency: cs.latency,
+        makespan_s: cs.last_delivery.max(shards_idle_at),
         comm_s: acc.comm_s,
         fault_recovery_s: acc.fault_s,
         retries: acc.retries,

@@ -77,6 +77,24 @@ chaos-smoke:
     WSERV_SMOKE=1 cargo run --release -p bench --bin bench_service
     python3 -c "import json; rows = json.load(open('target/BENCH_service_smoke.json'))['chaos_results']; required = {'scenario', 'shards', 'rate_hz', 'requests', 'completed', 'degraded_served', 'restarts', 'requeued', 'quarantined', 'rejected_total', 'rejected_shard_failed', 'rejected_requeued', 'rejected_deadline', 'failed_shards', 'p95_ms', 'throughput_hz', 'makespan_s', 'fault_recovery_pct'}; missing = [sorted(required - set(r)) for r in rows if not required <= set(r)]; assert not missing, missing; lost = [(r['scenario'], r['requests'] - r['completed'] - r['rejected_total']) for r in rows if r['completed'] + r['rejected_total'] != r['requests']]; assert not lost, lost; crashed = [r for r in rows if r['failed_shards']]; assert crashed and all(r['fault_recovery_pct'] > 0 for r in crashed), 'no crash row charged FaultRecovery'; print('chaos smoke OK:', len(rows), 'rows,', len(crashed), 'with failed shards')"
 
+# Committed benchmark files must reproduce: build in release, run
+# bench_service and bench_faults in a scratch directory, and require
+# BENCH_faults.json to be byte-identical and BENCH_service.json to be
+# byte-identical up to "transport_live", its first wall-clock section.
+bench-golden:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo build --release -p bench --bin bench_service --bin bench_faults
+    bin="$(realpath "${CARGO_TARGET_DIR:-target}")/release"
+    dir="$(mktemp -d)"
+    trap 'rm -rf "$dir"' EXIT
+    (cd "$dir" && "$bin/bench_service" > /dev/null && "$bin/bench_faults" > /dev/null)
+    cmp "$dir/BENCH_faults.json" BENCH_faults.json
+    n=$(grep -bo '"transport_live"' BENCH_service.json | head -1 | cut -d: -f1)
+    test "$(grep -bo '"transport_live"' "$dir/BENCH_service.json" | head -1 | cut -d: -f1)" = "$n"
+    cmp -n "$n" "$dir/BENCH_service.json" BENCH_service.json
+    echo "bench golden OK: BENCH_faults.json and the first $n bytes of BENCH_service.json reproduce"
+
 # Regenerate BENCH_service.json (wserv load-generator sweep: arrival
 # rate x shards x cache x batching, plus the seeded chaos scenario
 # sweep; asserts cache/batching dominance, the exactly-once chaos

@@ -8,7 +8,9 @@
 //! 4. the live lane ledger charges each second once: a mostly idle
 //!    shard's lanes sum to about its completion time, not twice it;
 //! 5. a NaN or infinite pixel anywhere in the image is refused at
-//!    admission as `Rejection::Invalid`.
+//!    admission as `Rejection::Invalid`;
+//! 6. the live driver charges a shed victim's queue seconds to
+//!    FaultRecovery, as the simulator does.
 
 use std::thread;
 use std::time::Duration;
@@ -292,6 +294,57 @@ fn live_lanes_charge_idle_time_once() {
             l.completion
         );
     }
+}
+
+/// With no faults and no deadlines, shedding is the only thing that can
+/// charge the FaultRecovery lane: a shed victim's queue seconds are
+/// work admitted and then lost to overload. Each round fills the single
+/// shard's queue with batch-class work until it refuses, then sends an
+/// interactive arrival that can only get in by shedding.
+#[test]
+fn live_shed_victims_charge_fault_recovery() {
+    let service = WaveletService::start(
+        ServiceConfig::default()
+            .with_shards(1)
+            .with_queue_capacity(4)
+            .with_max_batch(1),
+    );
+    let bank = FilterBank::daubechies(4).unwrap();
+    let req = |salt: u64, priority: Priority| {
+        DecomposeRequest::new(image(128, salt), bank.clone(), 3).with_priority(priority)
+    };
+    let mut low = Vec::new();
+    for round in 0..8u64 {
+        for i in 0.. {
+            match service.submit(req(round * 100 + i, Priority::Batch)) {
+                Ok(h) => low.push(h),
+                Err(Rejection::QueueFull { .. }) => break,
+                Err(other) => panic!("unexpected door rejection: {other:?}"),
+            }
+        }
+        service
+            .submit(req(round, Priority::Interactive))
+            .expect("interactive work displaces batch work")
+            .wait()
+            .expect("fault-free request completes");
+    }
+    let snapshot = service
+        .shutdown()
+        .expect("no worker died in a fault-free run");
+    let shed = low
+        .iter()
+        .filter(|h| matches!(h.wait(), Err(Rejection::Shed { .. })))
+        .count();
+    assert!(
+        shed > 0,
+        "no round shed: the worker drained every full queue"
+    );
+    assert_eq!(shed as u64, snapshot.rejected(wserv::RejectKind::Shed));
+    let lost: f64 = snapshot.shards.iter().map(|s| s.lanes.fault_recovery).sum();
+    assert!(
+        lost > 0.0,
+        "{shed} shed victims charged no FaultRecovery time"
+    );
 }
 
 proptest! {
