@@ -10,25 +10,18 @@
 //! in the current directory. Every chaos and transport row is checked
 //! for the exactly-once invariant: nothing injected loses a request.
 //!
-//! Every latency and throughput number in those sections is *virtual*
-//! (simulated) time: they are a pure function of the seed, and this
-//! harness proves it by generating the report twice and comparing the
-//! bytes. A final `transport_live` section then runs the same
-//! closed-loop workload for real — `RemoteServer` + `RemoteClient`
-//! over both the in-memory shim transport and localhost TCP, with the
-//! same wire faults and with real worker threads killed mid-load — and
-//! reports measured wall-clock tail latency next to the simulator's
-//! prediction. Live rows are wall-clock and sit outside the
-//! byte-compare; their invariants (exactly-once, zero lost,
-//! shim-vs-TCP identical resolution books) are asserted instead.
+//! Every latency and throughput number in the file is *virtual*
+//! (simulated) time: the whole document is a pure function of the
+//! seed, and this harness proves it by generating the report twice and
+//! comparing the bytes. Wall-clock measurements of the same remote
+//! paths live in the repo benchmark (`perfbench`, workloads
+//! `remote_tcp` and `remote_progressive`).
 //!
 //! Run from the repo root with `just serve-bench` (or
 //! `cargo run --release -p bench --bin bench_service`). Set
 //! `WSERV_SMOKE=1` for the downscaled CI mode, which writes
 //! `target/BENCH_service_smoke.json` instead and additionally asserts
 //! the acceptance conditions on the smaller grid.
-
-use std::time::{Duration, Instant};
 
 use bench::json_rows;
 use dwt::{dwt2d, FilterBank, Matrix};
@@ -38,12 +31,9 @@ use wserv::sim::{
     run_closed_loop, run_sim, ClosedLoopConfig, ClosedLoopReport, CostModel, ProgressiveSim,
     SimReport,
 };
-use wserv::transport::Connector;
 use wserv::{
-    DecomposeRequest, DegradedPolicy, ElasticPolicy, MemListener, Priority, RejectKind,
-    RemoteClient, RemoteConfig, RemoteMetrics, RemoteServer, RetryPolicy, ServeResult,
-    ServiceConfig, ShardFaultPlan, SupervisorPolicy, TcpAcceptor, TcpConnector, WireDir,
-    WireFaultPlan,
+    DecomposeRequest, DegradedPolicy, ElasticPolicy, Priority, RejectKind, ServiceConfig,
+    ShardFaultPlan, SupervisorPolicy, WireDir, WireFaultPlan,
 };
 
 const SEED: u64 = 1996; // the paper's year; any fixed seed works
@@ -422,9 +412,8 @@ fn assert_chaos_coverage(cells: &[ChaosCell]) {
 }
 
 /// Per-client request streams for the closed-loop sweeps, flattened
-/// `client * reqs_per_client + k`. Deadline-free on purpose: the live
-/// comparison needs outcomes that do not depend on wall-clock timing,
-/// so the shim and TCP resolution books can be asserted identical.
+/// `client * reqs_per_client + k`. Deadline-free on purpose: no outcome
+/// depends on queueing time, so every closed-loop request must serve.
 fn closed_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeRequest> {
     let pool = shape_pool();
     let mut out = Vec::with_capacity(clients * reqs_per_client);
@@ -442,8 +431,8 @@ fn closed_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeReque
     out
 }
 
-/// The literal wire-fault schedule shared by the deterministic sweep
-/// and the live drivers. Coordinates are `(conn = client id, dir,
+/// The literal wire-fault schedule shared by the transport and
+/// progressive sweeps. Coordinates are `(conn = client id, dir,
 /// cumulative frame index)`: frame 0 each way is the handshake, so the
 /// client-to-server reset at frame 2 kills client 0's second request
 /// mid-frame, and the server-to-client bit flip at frame 2 corrupts
@@ -987,439 +976,6 @@ fn assert_progressive_coverage(cells: &[ProgressiveCell]) {
 }
 
 // ---------------------------------------------------------------------
-// Live closed-loop mode: real server, real sockets, real worker kills
-// ---------------------------------------------------------------------
-
-/// Stable label of a client-observed service outcome, the currency of
-/// the cross-transport resolution-book comparison.
-fn outcome_label(res: &ServeResult) -> String {
-    match res {
-        Ok(r) if r.degraded => "ok_degraded".into(),
-        Ok(_) => "ok".into(),
-        Err(rej) => rej.kind().label().into(),
-    }
-}
-
-struct LiveRun {
-    /// `(client, request index, outcome label)`, sorted — the
-    /// resolution book as the clients observed it.
-    book: Vec<(u64, u64, String)>,
-    /// Client-observed wall-clock latencies, seconds.
-    latency: wserv::Histogram,
-    metrics: RemoteMetrics,
-    client_retries: u64,
-    /// Wall seconds of serialization + framing across both sides.
-    comm_s: f64,
-    elapsed_s: f64,
-}
-
-/// Drive `clients` real closed-loop clients against a `RemoteServer`
-/// over the chosen transport, with the service's `ShardFaultPlan`
-/// killing real worker threads mid-load and `wire` faulting both
-/// directions of every connection.
-fn live_closed_loop(
-    tcp: bool,
-    clients: usize,
-    reqs_per_client: usize,
-    service: ServiceConfig,
-    wire: WireFaultPlan,
-) -> LiveRun {
-    let tick = Duration::from_millis(1);
-    let remote = RemoteConfig {
-        wire_faults: wire.clone(),
-        ..RemoteConfig::default()
-    };
-    let (server, dial): (
-        RemoteServer,
-        Box<dyn Fn() -> Box<dyn Connector> + Send + Sync>,
-    ) = if tcp {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick).expect("bind localhost");
-        let addr = acceptor.local_addr();
-        (
-            RemoteServer::start(service, remote, Box::new(acceptor)).expect("server starts"),
-            Box::new(move || Box::new(TcpConnector { addr, tick })),
-        )
-    } else {
-        let listener = MemListener::new(1 << 16, tick);
-        let peer = listener.clone();
-        (
-            RemoteServer::start(service, remote, Box::new(listener)).expect("server starts"),
-            Box::new(move || Box::new(peer.clone())),
-        )
-    };
-
-    let requests = closed_requests(clients, reqs_per_client);
-    let started = Instant::now();
-    let mut handles = Vec::with_capacity(clients);
-    for c in 0..clients {
-        let stream: Vec<DecomposeRequest> =
-            requests[c * reqs_per_client..(c + 1) * reqs_per_client].to_vec();
-        let connector = dial();
-        let plan = wire.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut client = RemoteClient::new(connector, c as u64)
-                .with_faults(plan)
-                .with_retry(RetryPolicy::default())
-                .with_response_timeout(Duration::from_secs(10));
-            let mut lat = Vec::with_capacity(stream.len());
-            let mut book = Vec::with_capacity(stream.len());
-            for (k, req) in stream.iter().enumerate() {
-                let t0 = Instant::now();
-                let res = client
-                    .call(req)
-                    .expect("the retry budget covers the fault plan");
-                lat.push(t0.elapsed().as_secs_f64());
-                book.push((c as u64, k as u64, outcome_label(&res)));
-            }
-            client.goodbye();
-            (lat, book, client.transport, client.retries)
-        }));
-    }
-    let mut latency = wserv::Histogram::default();
-    let mut book = Vec::new();
-    let mut client_retries = 0u64;
-    let mut comm_s = 0.0;
-    for h in handles {
-        let (lat, b, transport, retries) = h.join().expect("client threads never panic");
-        for v in lat {
-            latency.record(v);
-        }
-        book.extend(b);
-        client_retries += retries;
-        comm_s += transport.ser_s;
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
-    let metrics = server.shutdown().expect("graceful drain succeeds");
-    comm_s += metrics.transport.ser_s;
-    book.sort();
-    LiveRun {
-        book,
-        latency,
-        metrics,
-        client_retries,
-        comm_s,
-        elapsed_s,
-    }
-}
-
-/// Run the live closed-loop comparison over both transports, assert
-/// its invariants, and return the `transport_live` JSON rows (outside
-/// the byte-compare: these are wall-clock numbers).
-fn live_rows(clients: usize, reqs_per_client: usize, prediction: &ClosedLoopReport) -> String {
-    let total = (clients * reqs_per_client) as u64;
-    let mut rows = Vec::new();
-    let mut books = Vec::new();
-    for (transport, tcp) in [("shim", false), ("tcp", true)] {
-        let run = live_closed_loop(
-            tcp,
-            clients,
-            reqs_per_client,
-            closed_loop_service(kill_plan()),
-            wire_chaos_plan(),
-        );
-        // Exactly-once under real worker kills: the service resolved
-        // every distinct request once — retried ids were answered from
-        // the resolution book, not re-executed.
-        assert_eq!(
-            run.book.len() as u64,
-            total,
-            "{transport}: every request must terminate at its client"
-        );
-        assert_eq!(
-            run.metrics.service.completed(),
-            total,
-            "{transport}: deadline-free closed-loop requests must all serve exactly once"
-        );
-        assert!(
-            run.book.iter().all(|(_, _, label)| label == "ok"),
-            "{transport}: failover must be lossless for closed-loop traffic"
-        );
-        assert!(
-            run.metrics.transport.dedup_replays >= 1,
-            "{transport}: the response-path fault must be recovered via dedup replay"
-        );
-        assert!(
-            run.metrics.service.restarts() > 0,
-            "{transport}: the worker-kill plan must actually kill a worker"
-        );
-        assert!(
-            !run.metrics.service.failed_shards().is_empty(),
-            "{transport}: the crash plan must actually fail a shard over"
-        );
-        eprintln!(
-            "live {transport:<4} p99={:.3}ms (sim predicts {:.3}ms) replays={} \
-             resets={} aborted={} retries={} elapsed={:.3}s",
-            run.latency.quantile(0.99) * 1e3,
-            prediction.latency.quantile(0.99) * 1e3,
-            run.metrics.transport.dedup_replays,
-            run.metrics.transport.conn_reset,
-            run.metrics.transport.conn_aborted,
-            run.client_retries,
-            run.elapsed_s,
-        );
-        rows.push(format!(
-            concat!(
-                "{{\"transport\": \"{}\", \"scenario\": \"failover_under_load\", ",
-                "\"clients\": {}, \"reqs_per_client\": {}, \"completed\": {}, ",
-                "\"p50_ms\": {:.6}, \"p95_ms\": {:.6}, \"p99_ms\": {:.6}, ",
-                "\"sim_p50_ms\": {:.6}, \"sim_p95_ms\": {:.6}, \"sim_p99_ms\": {:.6}, ",
-                "\"comm_ms\": {:.6}, \"dedup_replays\": {}, \"conn_reset\": {}, ",
-                "\"conn_aborted\": {}, \"client_retries\": {}, \"restarts\": {}, ",
-                "\"failed_shards\": {}, \"elapsed_s\": {:.6}}}"
-            ),
-            transport,
-            clients,
-            reqs_per_client,
-            run.metrics.service.completed(),
-            run.latency.quantile(0.50) * 1e3,
-            run.latency.quantile(0.95) * 1e3,
-            run.latency.quantile(0.99) * 1e3,
-            prediction.latency.quantile(0.50) * 1e3,
-            prediction.latency.quantile(0.95) * 1e3,
-            prediction.latency.quantile(0.99) * 1e3,
-            run.comm_s * 1e3,
-            run.metrics.transport.dedup_replays,
-            run.metrics.transport.conn_reset,
-            run.metrics.transport.conn_aborted,
-            run.client_retries,
-            run.metrics.service.restarts(),
-            run.metrics.service.failed_shards().len(),
-            run.elapsed_s,
-        ));
-        books.push(run.book);
-    }
-    assert_eq!(
-        books[0], books[1],
-        "shim and TCP must produce identical resolution books for the same seed"
-    );
-    json_rows(rows)
-}
-
-// ---------------------------------------------------------------------
-// Live progressive mode: real streaming, real cancels, real sockets
-// ---------------------------------------------------------------------
-
-/// The live progressive comparison stream: deep CDF 9/7 decompositions
-/// of a smooth field plus faint texture. The smoothness is the point —
-/// the fine detail planes quantize to near-empty sparse frames (the
-/// deterministic byte saving), while the sinusoid's energy keeps the
-/// coarse planes above the client tolerance so real mid-sequence
-/// cancels occur too.
-fn progressive_live_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeRequest> {
-    let tau = std::f64::consts::TAU;
-    let smooth = |n: usize, salt: u64| {
-        Matrix::from_fn(n, n, |r, c| {
-            40.0 * (tau * r as f64 / n as f64).sin() * (tau * c as f64 / n as f64).sin()
-                + ((r as u64 * 13 + c as u64 * 7 + salt) % 7) as f64 * 0.03
-        })
-    };
-    let mut out = Vec::with_capacity(clients * reqs_per_client);
-    for c in 0..clients {
-        for k in 0..reqs_per_client {
-            out.push(DecomposeRequest::new(
-                smooth(64, (c * reqs_per_client + k) as u64 % 13),
-                FilterBank::cdf97(),
-                3,
-            ));
-        }
-    }
-    out
-}
-
-struct ProgressiveLiveRun {
-    completed: u64,
-    /// Server-side bytes put on the wire (responses dominate).
-    bytes_out: u64,
-    planes_sent: u64,
-    cancels: u64,
-    partials: u64,
-    max_bound: f64,
-    latency: wserv::Histogram,
-    elapsed_s: f64,
-}
-
-/// Drive the progressive comparison workload live: a clean wire (the
-/// byte comparison must not be confounded by faulted re-sends), with
-/// every delivered response checked against the local engine oracle.
-fn progressive_live(
-    tcp: bool,
-    clients: usize,
-    reqs_per_client: usize,
-    tolerance: Option<f64>,
-) -> ProgressiveLiveRun {
-    let tick = Duration::from_millis(1);
-    let remote = RemoteConfig {
-        progressive: tolerance.is_some().then(lossy_codec),
-        ..RemoteConfig::default()
-    };
-    let service = closed_loop_service(ShardFaultPlan::none());
-    let (server, dial): (
-        RemoteServer,
-        Box<dyn Fn() -> Box<dyn Connector> + Send + Sync>,
-    ) = if tcp {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick).expect("bind localhost");
-        let addr = acceptor.local_addr();
-        (
-            RemoteServer::start(service, remote, Box::new(acceptor)).expect("server starts"),
-            Box::new(move || Box::new(TcpConnector { addr, tick })),
-        )
-    } else {
-        let listener = MemListener::new(1 << 16, tick);
-        let peer = listener.clone();
-        (
-            RemoteServer::start(service, remote, Box::new(listener)).expect("server starts"),
-            Box::new(move || Box::new(peer.clone())),
-        )
-    };
-
-    let requests = progressive_live_requests(clients, reqs_per_client);
-    let started = Instant::now();
-    let mut handles = Vec::with_capacity(clients);
-    for c in 0..clients {
-        let stream: Vec<DecomposeRequest> =
-            requests[c * reqs_per_client..(c + 1) * reqs_per_client].to_vec();
-        let connector = dial();
-        handles.push(std::thread::spawn(move || {
-            let mut client = RemoteClient::new(connector, c as u64)
-                .with_response_timeout(Duration::from_secs(10));
-            if let Some(t) = tolerance {
-                client = client.with_tolerance(t);
-            }
-            let mut lat = Vec::with_capacity(stream.len());
-            let mut max_bound = 0.0f64;
-            for req in &stream {
-                let t0 = Instant::now();
-                let resp = client
-                    .call(req)
-                    .expect("clean wire")
-                    .expect("deadline-free requests all serve");
-                lat.push(t0.elapsed().as_secs_f64());
-                // The reported bound must be honest against the local
-                // engine oracle and, when a tolerance is set, met.
-                let oracle = dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
-                    .expect("pool geometry is valid");
-                let actual = pyramid_max_abs_diff(&resp.pyramid, &oracle)
-                    .expect("geometry matches the oracle");
-                assert!(
-                    actual <= resp.error_bound || resp.error_bound == 0.0 && actual == 0.0,
-                    "actual error {actual} exceeds the reported bound {}",
-                    resp.error_bound
-                );
-                if let Some(t) = tolerance {
-                    assert!(
-                        resp.error_bound <= t,
-                        "reported bound {} must meet the {t} tolerance",
-                        resp.error_bound
-                    );
-                }
-                max_bound = max_bound.max(resp.error_bound);
-            }
-            client.goodbye();
-            (lat, max_bound, client.progressive)
-        }));
-    }
-    let mut latency = wserv::Histogram::default();
-    let mut max_bound = 0.0f64;
-    let mut cancels = 0u64;
-    let mut partials = 0u64;
-    for h in handles {
-        let (lat, mb, tally) = h.join().expect("client threads never panic");
-        for v in lat {
-            latency.record(v);
-        }
-        max_bound = max_bound.max(mb);
-        cancels += tally.cancels;
-        partials += tally.partial_responses;
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
-    let metrics = server.shutdown().expect("graceful drain succeeds");
-    ProgressiveLiveRun {
-        completed: metrics.service.completed(),
-        bytes_out: metrics.transport.bytes_out,
-        planes_sent: metrics.transport.planes_sent,
-        cancels,
-        partials,
-        max_bound,
-        latency,
-        elapsed_s,
-    }
-}
-
-/// Run the monolithic-vs-progressive live comparison over both
-/// transports, assert the bytes-to-tolerance and bound-honesty
-/// invariants, and return the `progressive_live` JSON rows.
-fn progressive_live_rows(clients: usize, reqs_per_client: usize) -> String {
-    let total = (clients * reqs_per_client) as u64;
-    let tolerance = 30.0;
-    let mut rows = Vec::new();
-    for (transport, tcp) in [("shim", false), ("tcp", true)] {
-        let mono = progressive_live(tcp, clients, reqs_per_client, None);
-        let prog = progressive_live(tcp, clients, reqs_per_client, Some(tolerance));
-        for run in [&mono, &prog] {
-            assert_eq!(
-                run.completed, total,
-                "{transport}: every request must serve exactly once"
-            );
-        }
-        assert_eq!(mono.planes_sent, 0, "{transport}: baseline is monolithic");
-        assert!(
-            prog.partials >= 1,
-            "{transport}: the tolerance must cut at least one sequence short"
-        );
-        assert!(
-            prog.bytes_out < mono.bytes_out,
-            "{transport}: progressive-to-tolerance must beat monolithic bytes \
-             ({} vs {})",
-            prog.bytes_out,
-            mono.bytes_out
-        );
-        eprintln!(
-            "progressive live {transport:<4} mono_B={:<8} prog_B={:<8} savings={:.1}% \
-             planes={} cancels={} bound={:.3} elapsed={:.3}s",
-            mono.bytes_out,
-            prog.bytes_out,
-            (1.0 - prog.bytes_out as f64 / mono.bytes_out as f64) * 100.0,
-            prog.planes_sent,
-            prog.cancels,
-            prog.max_bound,
-            mono.elapsed_s + prog.elapsed_s,
-        );
-        for (scenario, run) in [("monolithic", &mono), ("progressive_cancel", &prog)] {
-            rows.push(format!(
-                concat!(
-                    "{{\"transport\": \"{}\", \"scenario\": \"{}\", ",
-                    "\"clients\": {}, \"reqs_per_client\": {}, \"completed\": {}, ",
-                    "\"tolerance\": {}, \"bytes_out\": {}, \"planes_sent\": {}, ",
-                    "\"cancels\": {}, \"partial_responses\": {}, ",
-                    "\"max_error_bound\": {:.6}, \"p50_ms\": {:.6}, ",
-                    "\"p95_ms\": {:.6}, \"p99_ms\": {:.6}, \"elapsed_s\": {:.6}}}"
-                ),
-                transport,
-                scenario,
-                clients,
-                reqs_per_client,
-                run.completed,
-                if scenario == "monolithic" {
-                    "null".to_string()
-                } else {
-                    format!("{tolerance}")
-                },
-                run.bytes_out,
-                run.planes_sent,
-                run.cancels,
-                run.partials,
-                run.max_bound,
-                run.latency.quantile(0.50) * 1e3,
-                run.latency.quantile(0.95) * 1e3,
-                run.latency.quantile(0.99) * 1e3,
-                run.elapsed_s,
-            ));
-        }
-    }
-    json_rows(rows)
-}
-
-// ---------------------------------------------------------------------
 // Elastic sharding: static vs stealing vs split/merge under Zipf skew
 // ---------------------------------------------------------------------
 
@@ -1800,27 +1356,6 @@ fn main() {
         &elastic_sweep(elastic_reqs, elastic_rate),
     );
     assert_eq!(report, again, "service bench must be byte-reproducible");
-
-    // Live closed-loop comparison: wall-clock rows, appended after the
-    // byte-compare. The simulator's failover-under-load row is the
-    // prediction the live tails are reported against.
-    let prediction = &transport
-        .iter()
-        .find(|c| c.scenario == "failover_under_load")
-        .expect("failover scenario present")
-        .report;
-    let live = live_rows(cl_clients, cl_reqs, prediction);
-    let plive = progressive_live_rows(cl_clients, cl_reqs);
-    let report = {
-        let tail = "  ]\n}\n";
-        let base = report
-            .strip_suffix(tail)
-            .expect("render ends with the elastic section");
-        format!(
-            "{base}  ],\n  \"transport_live\": [\n{live}  ],\n  \
-             \"progressive_live\": [\n{plive}  ]\n}}\n"
-        )
-    };
 
     let path = if smoke {
         "target/BENCH_service_smoke.json"

@@ -25,7 +25,9 @@
 //! original resolution and sends that. Execution happens at most once
 //! per id; rejected submissions are deliberately *not* recorded, so a
 //! retry after `QueueFull` re-attempts admission rather than replaying
-//! the rejection.
+//! the rejection. A connection that ends with the client's `Bye` drops
+//! that client's book (it will never retry); one that ends in a reset
+//! or EOF keeps it, so the reconnect's retries still replay.
 //!
 //! ## Progressive delivery
 //!
@@ -486,6 +488,7 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
     // Main read loop.
     let mut drain_seen: Option<Instant> = None;
     let mut abort = false;
+    let mut bye = false;
     loop {
         match rio.recv_frame() {
             Ok(RecvFrame::Frame(f)) => match f.kind {
@@ -550,7 +553,10 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
                     // longer) finds more planes to cut.
                     cancels.lock().insert(f.id);
                 }
-                FrameKind::Bye => break,
+                FrameKind::Bye => {
+                    bye = true;
+                    break;
+                }
                 _ => {
                     local.count_error(&TransportError::FrameCorrupt {
                         detail: format!("unexpected {:?} frame mid-stream", f.kind),
@@ -592,6 +598,12 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
     }
     drop(tx);
     let (wstats, wmetrics) = writer.join().expect("writer never panics");
+    if bye {
+        // A clean goodbye means the client will never retry: its book
+        // goes. After the join, so no late `resolve` can recreate it. A
+        // reset or EOF keeps the book for the reconnect's replays.
+        shared.dedup.books.lock().remove(&client);
+    }
     local.merge(&wmetrics);
     merge_stats(&shared, local, &rio, Some(wstats));
 }
@@ -1205,5 +1217,43 @@ fn recv_response(
 impl Drop for RemoteClient {
     fn drop(&mut self) {
         self.goodbye();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::MemListener;
+    use dwt::{FilterBank, Matrix};
+
+    /// A client that says goodbye leaves no resolution book behind:
+    /// after ten sequential clients call once and part cleanly, the
+    /// dedup registry holds nothing.
+    #[test]
+    fn a_clean_goodbye_drops_the_client_book() {
+        let tick = Duration::from_millis(1);
+        let listener = MemListener::new(1 << 16, tick);
+        let server = RemoteServer::start(
+            ServiceConfig::default().with_shards(2),
+            RemoteConfig::default(),
+            Box::new(listener.clone()),
+        )
+        .expect("config is valid");
+        let shared = Arc::clone(&server.shared);
+        for c in 0..10u64 {
+            let req = DecomposeRequest::new(
+                Matrix::from_fn(16, 16, |r, k| (r * 16 + k + c as usize) as f64),
+                FilterBank::haar(),
+                2,
+            );
+            let mut client = RemoteClient::new(Box::new(listener.clone()), c);
+            assert!(client.call(&req).expect("clean wire").is_ok());
+            client.goodbye();
+        }
+        // Shutdown joins every connection thread, so each one has seen
+        // its Bye and finished with the registry.
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(metrics.service.completed(), 10);
+        assert!(shared.dedup.books.lock().is_empty());
     }
 }

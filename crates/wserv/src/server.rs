@@ -436,8 +436,8 @@ impl WaveletService {
     /// whose home shard has failed over route to its live successor on
     /// the shard ring.
     pub fn submit(&self, req: DecomposeRequest) -> Result<ResponseHandle, Rejection> {
-        req.validate()?;
         let mut live = Live(&self.shards);
+        shard::screen(&mut live, &req, |shape| self.elastic.map.lock().home(shape))?;
         let shard_ix = shard::route_arrival(&mut live, &self.elastic.map.lock(), &req.shape())?;
         let state = &self.shards[shard_ix];
         let cell = Arc::new(ResponseCell::default());

@@ -11,14 +11,14 @@
 //!
 //! Every decision a shard makes is written here once, and both drivers
 //! ([`crate::WaveletService`] and the [`crate::sim`] event loop) call
-//! it: settling admissions and deadline expiry (a shed or expired
-//! entry's queue seconds go to FaultRecovery), building responses, the
-//! requeue charge, the poisoned-batch quarantine, restart and failover,
-//! the elastic census with its steal, split and merge queue surgery,
-//! and closing the books. A shard's admission queue and metrics live
-//! together in one `ShardState`; the drivers reach it through the
-//! `Driver` trait, which is where their clocks, threads and locks
-//! differ.
+//! it: the door (refusing an invalid request), settling admissions and
+//! deadline expiry (a shed or expired entry's queue seconds go to
+//! FaultRecovery), building responses, the requeue charge, the
+//! poisoned-batch quarantine, restart and failover, the elastic census
+//! with its steal, split and merge queue surgery, and closing the
+//! books. A shard's admission queue and metrics live together in one
+//! `ShardState`; the drivers reach it through the `Driver` trait, which
+//! is where their clocks, threads and locks differ.
 
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
@@ -32,7 +32,9 @@ use crate::cache::PlanCache;
 use crate::elastic::{BalanceAction, BalanceController, QueuedShape, ShardLoad, ShardMap};
 use crate::faults::{DegradedPolicy, SupervisorPolicy};
 use crate::metrics::{LaneSplit, ShardMetrics};
-use crate::request::{DecomposeResponse, Entry, Priority, RejectKind, Rejection, ServeResult};
+use crate::request::{
+    DecomposeRequest, DecomposeResponse, Entry, Priority, RejectKind, Rejection, ServeResult,
+};
 
 /// FNV-1a, used instead of the std `DefaultHasher` so shard routing is
 /// stable by specification rather than by implementation accident.
@@ -368,6 +370,21 @@ pub(crate) trait Driver<T> {
 
     /// Reserve slot `s` was retired by a merge at `now`.
     fn retired(&mut self, _s: usize, _now: f64) {}
+}
+
+/// The door: a request that fails validation is refused, accounted to
+/// its shape's home shard (which `home` names, from the routing map) as
+/// [`RejectKind::Invalid`]. `home` is asked only on refusal, so a
+/// valid request takes no lock here.
+pub(crate) fn screen<T>(
+    d: &mut impl Driver<T>,
+    req: &DecomposeRequest,
+    home: impl FnOnce(&PlanShape) -> usize,
+) -> Result<(), Rejection> {
+    req.validate().inspect_err(|_| {
+        let home = home(&req.shape());
+        d.with(home, |st| st.queue.counters.reject(RejectKind::Invalid));
+    })
 }
 
 /// Where a new arrival of `shape` goes: its routed shard, or — with

@@ -35,7 +35,7 @@ use crate::faults::{WireDir, WireFault, WireFaultPlan};
 use crate::metrics::{Histogram, LaneSplit, MetricsSnapshot};
 use crate::progressive::{split_response, Reassembler};
 use crate::remote::RetryPolicy;
-use crate::request::{DecomposeRequest, Entry, RejectKind, Rejection, ServeResult};
+use crate::request::{DecomposeRequest, Entry, Rejection, ServeResult};
 use crate::server::ServiceConfig;
 use crate::shard::{self, Driver, Outcomes, ShardState};
 use crate::transport::TransportError;
@@ -251,12 +251,9 @@ impl<'a> ShardSide<'a> {
     /// here, accounted to its shape's home shard; a valid one is handed
     /// back for routing.
     fn screen(&mut self, ix: usize, req: DecomposeRequest) -> Option<DecomposeRequest> {
-        match req.validate() {
+        match shard::screen(&mut self.pool, &req, |shape| self.map.home(shape)) {
             Ok(()) => Some(req),
             Err(rejection) => {
-                let home = self.map.home(&req.shape());
-                let counters = &mut self.pool.shards[home].state.queue.counters;
-                counters.reject(RejectKind::Invalid);
                 self.pool.outcomes[ix] = Some(Err(rejection));
                 None
             }

@@ -19,7 +19,7 @@ use dwt::{dwt2d, Boundary, FilterBank, Matrix};
 use proptest::prelude::*;
 use wserv::sim::{run_sim, CostModel};
 use wserv::{
-    AdmissionQueue, Admit, DecomposeRequest, Entry, Priority, Rejection, ServiceConfig,
+    AdmissionQueue, Admit, DecomposeRequest, Entry, Priority, RejectKind, Rejection, ServiceConfig,
     WaveletService,
 };
 
@@ -375,5 +375,7 @@ proptest! {
         prop_assert!(service.submit(ok).expect("finite image admits").wait().is_ok());
         let snapshot = service.shutdown().expect("no worker died");
         prop_assert_eq!(snapshot.completed(), 1);
+        // The door counts its refusal, as the simulator's does.
+        prop_assert_eq!(snapshot.rejected(RejectKind::Invalid), 1);
     }
 }

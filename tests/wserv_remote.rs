@@ -14,7 +14,10 @@
 //!   is aborted and counted in `conn_aborted`;
 //! * a protocol mismatch is a terminal, typed handshake failure;
 //! * the in-memory shim and localhost TCP produce identical outcome
-//!   books for the same seed — same protocol, different bytes;
+//!   books for the same seed — same protocol, different bytes — also
+//!   while worker threads are killed under a faulted wire;
+//! * progressive delivery to a tolerance puts fewer bytes on the wire
+//!   than monolithic delivery of the same requests;
 //! * a NaN or infinite pixel comes back as a typed
 //!   `Rejection::Invalid`, never a connection abort.
 
@@ -33,8 +36,8 @@ use wserv::wire::{
     PROTOCOL_VERSION,
 };
 use wserv::{
-    DecomposeRequest, MemListener, Rejection, RemoteClient, ServiceConfig, SupervisorPolicy,
-    TcpAcceptor, TcpConnector, TransportError, WireDir, WireFaultPlan,
+    DecomposeRequest, MemListener, Rejection, RemoteClient, ServiceConfig, ShardFaultPlan,
+    SupervisorPolicy, TcpAcceptor, TcpConnector, TransportError, WireDir, WireFaultPlan,
 };
 
 fn tick() -> Duration {
@@ -99,13 +102,64 @@ fn wire_plan() -> WireFaultPlan {
         .with_stall(0, WireDir::ServerToClient, 4, 3e-3)
 }
 
-/// Drive `clients × reqs` through a server on `connector`, return the
-/// outcome book as `(client, request, ok)` triples plus total retries.
+/// Requests over five shapes, which shape routing spreads across every
+/// shard of a three-shard service.
+fn spread_request(salt: u64) -> DecomposeRequest {
+    let n = [16, 24, 32, 40, 48][(salt % 5) as usize];
+    DecomposeRequest::new(image(n, salt), FilterBank::cdf53(), 2)
+}
+
+/// Three shards, so one can die and two survive, under a worker-kill
+/// plan: shard 0's worker panics once (a supervised restart), shard 1
+/// crashes for good and fails over to the survivors.
+fn failover_service() -> ServiceConfig {
+    service_config()
+        .with_shards(3)
+        .with_faults(
+            ShardFaultPlan::seeded(1996)
+                .with_worker_panic(0, 1)
+                .with_shard_crash(1, 2),
+        )
+        .with_supervisor(SupervisorPolicy {
+            max_restarts: 1,
+            backoff_base_s: 2e-4,
+            poll_s: 1e-4,
+            ..SupervisorPolicy::default()
+        })
+}
+
+/// Opens a fresh connection to a test server.
+type Dial = Box<dyn Fn() -> Box<dyn Connector>>;
+
+/// Start a server over the in-memory shim or, with `tcp`, localhost
+/// TCP, and return it with a function that dials it.
+fn start(tcp: bool, service: ServiceConfig, remote: RemoteConfig) -> (RemoteServer, Dial) {
+    if tcp {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick()).expect("loopback bind");
+        let addr = acceptor.local_addr();
+        let server =
+            RemoteServer::start(service, remote, Box::new(acceptor)).expect("config is valid");
+        (
+            server,
+            Box::new(move || Box::new(TcpConnector { addr, tick: tick() })),
+        )
+    } else {
+        let listener = MemListener::new(1 << 16, tick());
+        let server = RemoteServer::start(service, remote, Box::new(listener.clone()))
+            .expect("config is valid");
+        (server, Box::new(move || Box::new(listener.clone())))
+    }
+}
+
+/// Drive `clients × reqs` requests built by `make` through a server on
+/// `connector`, return the outcome book as `(client, request, ok)`
+/// triples plus total retries.
 fn drive(
     connector: impl Fn(u64) -> Box<dyn Connector>,
     clients: u64,
     reqs: u64,
     faults: &WireFaultPlan,
+    make: fn(u64) -> DecomposeRequest,
 ) -> (Vec<(u64, u64, bool)>, u64) {
     let handles: Vec<_> = (0..clients)
         .map(|c| {
@@ -118,7 +172,7 @@ fn drive(
                     .with_response_timeout(Duration::from_secs(5));
                 let mut book = Vec::new();
                 for k in 0..reqs {
-                    let outcome = client.call(&request(c * 100 + k)).unwrap_or_else(|e| {
+                    let outcome = client.call(&make(c * 100 + k)).unwrap_or_else(|e| {
                         panic!("client {c} request {k}: transport gave up: {e}")
                     });
                     book.push((c, k, outcome.is_ok()));
@@ -160,7 +214,13 @@ fn wire_chaos_resolves_every_request_exactly_once() {
     let server = RemoteServer::start(service_config(), config, Box::new(listener.clone()))
         .expect("config is valid");
 
-    let (book, retries) = drive(|_| Box::new(listener.clone()), clients, reqs, &wire_plan());
+    let (book, retries) = drive(
+        |_| Box::new(listener.clone()),
+        clients,
+        reqs,
+        &wire_plan(),
+        request,
+    );
 
     assert_eq!(book.len(), (clients * reqs) as usize);
     for &(c, k, ok) in &book {
@@ -504,47 +564,61 @@ fn protocol_mismatch_is_terminal_and_typed() {
 /// The same seed, the same requests, the same fault plan: the in-memory
 /// shim and localhost TCP produce the identical outcome book. The shim
 /// is the sandbox stand-in for the real wire, so divergence here means
-/// one of them lies about the protocol.
+/// one of them lies about the protocol. The comparison runs twice: on a
+/// healthy service, then with workers killed while the wire is faulted,
+/// where failover must stay lossless and the dedup book must still
+/// answer the response-path losses.
 #[test]
 fn shim_and_tcp_produce_identical_outcome_books() {
-    let (clients, reqs) = (2u64, 6u64);
     let plan = wire_plan();
-
-    let faulty = || RemoteConfig {
-        wire_faults: wire_plan(),
-        ..remote_config()
+    // Serve the requests over both transports: every one executes once
+    // and resolves Ok, and the two books agree. Returns each
+    // transport's server books.
+    let parity = |service: fn() -> ServiceConfig,
+                  clients: u64,
+                  reqs: u64,
+                  make: fn(u64) -> DecomposeRequest| {
+        let mut books = Vec::new();
+        let mut metrics = Vec::new();
+        for tcp in [false, true] {
+            let remote = RemoteConfig {
+                wire_faults: wire_plan(),
+                ..remote_config()
+            };
+            let (server, dial) = start(tcp, service(), remote);
+            let (book, _) = drive(|_| dial(), clients, reqs, &plan, make);
+            let m = server.shutdown().expect("clean drain");
+            assert_eq!(m.service.completed(), clients * reqs, "tcp={tcp}");
+            assert!(
+                book.iter().all(|&(_, _, ok)| ok),
+                "tcp={tcp}: everything resolves Ok"
+            );
+            books.push(book);
+            metrics.push(m);
+        }
+        assert_eq!(books[0], books[1], "same seed, same book, different bytes");
+        metrics
     };
-    let shim_book = {
-        let listener = MemListener::new(1 << 16, tick());
-        let server = RemoteServer::start(service_config(), faulty(), Box::new(listener.clone()))
-            .expect("config is valid");
-        let (book, _) = drive(|_| Box::new(listener.clone()), clients, reqs, &plan);
-        let metrics = server.shutdown().expect("clean drain");
-        assert_eq!(metrics.service.completed(), clients * reqs);
-        book
-    };
 
-    let tcp_book = {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick()).expect("loopback bind");
-        let addr = acceptor.local_addr();
-        let server = RemoteServer::start(service_config(), faulty(), Box::new(acceptor))
-            .expect("config is valid");
-        let (book, _) = drive(
-            |_| Box::new(TcpConnector { addr, tick: tick() }),
-            clients,
-            reqs,
-            &plan,
+    parity(service_config, 2, 6, request);
+
+    for (m, transport) in parity(failover_service, 3, 8, spread_request)
+        .iter()
+        .zip(["shim", "tcp"])
+    {
+        assert!(
+            m.transport.dedup_replays >= 1,
+            "{transport}: the response-path faults must replay from the book"
         );
-        let metrics = server.shutdown().expect("clean drain");
-        assert_eq!(metrics.service.completed(), clients * reqs);
-        book
-    };
-
-    assert_eq!(shim_book, tcp_book, "same seed, same book, different bytes");
-    assert!(
-        shim_book.iter().all(|&(_, _, ok)| ok),
-        "everything resolves Ok"
-    );
+        assert!(
+            m.service.restarts() > 0,
+            "{transport}: the kill plan must restart a worker"
+        );
+        assert!(
+            !m.service.failed_shards().is_empty(),
+            "{transport}: the crash plan must fail a shard over"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -649,8 +723,8 @@ fn zero_attempt_retry_policy_fails_typed_without_traffic() {
 /// local engine oracle — over the shim and over TCP.
 #[test]
 fn progressive_lossless_is_bitwise_equal_to_oracle_over_shim_and_tcp() {
-    let run = |connector: Box<dyn Connector>, server: RemoteServer| {
-        let mut client = RemoteClient::new(connector, 4);
+    let run = |(server, dial): (RemoteServer, Dial)| {
+        let mut client = RemoteClient::new(dial(), 4);
         for salt in 0..3u64 {
             let req = request(salt);
             let oracle = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
@@ -676,26 +750,21 @@ fn progressive_lossless_is_bitwise_equal_to_oracle_over_shim_and_tcp() {
         assert_eq!(metrics.transport.planes_sent, 3 * 3 * 2);
     };
 
-    let progressive = || RemoteConfig {
-        progressive: Some(CheckpointCodec::Raw),
-        ..remote_config()
-    };
-    let listener = MemListener::new(1 << 16, tick());
-    let server = RemoteServer::start(service_config(), progressive(), Box::new(listener.clone()))
-        .expect("config is valid");
-    run(Box::new(listener), server);
-
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick()).expect("loopback bind");
-    let addr = acceptor.local_addr();
-    let server = RemoteServer::start(service_config(), progressive(), Box::new(acceptor))
-        .expect("config is valid");
-    run(Box::new(TcpConnector { addr, tick: tick() }), server);
+    for tcp in [false, true] {
+        let progressive = RemoteConfig {
+            progressive: Some(CheckpointCodec::Raw),
+            ..remote_config()
+        };
+        run(start(tcp, service_config(), progressive));
+    }
 }
 
 /// A tolerance-carrying client cancels once the running bound is good
 /// enough; the partial response's *reported* bound is at most the
 /// tolerance and its *actual* error versus the local oracle never
-/// exceeds the report — over the shim and over TCP.
+/// exceeds the report — over the shim and over TCP. The same requests
+/// served monolithically put more bytes on the wire: progressive
+/// delivery to a tolerance must pay for itself.
 #[test]
 fn progressive_tolerance_cancels_and_the_bound_is_honest() {
     let codec = CheckpointCodec::WaveletQuant {
@@ -703,19 +772,39 @@ fn progressive_tolerance_cancels_and_the_bound_is_honest() {
         step: 0.0,
     };
     let tolerance = 40.0;
-    let run = |connector: Box<dyn Connector>, server: RemoteServer| {
-        let mut client = RemoteClient::new(connector, 5).with_tolerance(tolerance);
-        for salt in 0..3u64 {
-            // Deeper decompositions give the client planes to skip.
-            let req = DecomposeRequest::new(image(32, salt), FilterBank::cdf53(), 3);
+    // Deeper decompositions give the client planes to skip. Streaming
+    // the sawtooth imagery costs more bytes than monolithic delivery, so
+    // a smooth field with faint texture rides along: its CDF 9/7 detail
+    // planes encode smaller than its dense coefficients, a saving that
+    // holds even when no Cancel reaches the server in time.
+    let tau = std::f64::consts::TAU;
+    let smooth = |salt: u64| {
+        Matrix::from_fn(64, 64, |r, c| {
+            40.0 * (tau * r as f64 / 64.0).sin() * (tau * c as f64 / 64.0).sin()
+                + ((r as u64 * 13 + c as u64 * 7 + salt) % 7) as f64 * 0.03
+        })
+    };
+    let sawtooth = 3;
+    let requests: Vec<DecomposeRequest> = (0..sawtooth)
+        .map(|salt| DecomposeRequest::new(image(32, salt), FilterBank::cdf53(), 3))
+        .chain((0..3).map(|salt| DecomposeRequest::new(smooth(salt), FilterBank::cdf97(), 3)))
+        .collect();
+    // Serve every request over one connection, with or without the
+    // client tolerance, and return the server's books.
+    let serve = |(server, dial): (RemoteServer, Dial), tolerance: Option<f64>| {
+        let mut client = RemoteClient::new(dial(), 5);
+        if let Some(t) = tolerance {
+            client = client.with_tolerance(t);
+        }
+        for (i, req) in requests.iter().enumerate() {
             let oracle = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
                 .expect("oracle geometry is valid");
             let resp = client
-                .call(&req)
+                .call(req)
                 .expect("clean wire")
                 .expect("request serves Ok");
             assert!(
-                resp.error_bound <= tolerance,
+                resp.error_bound <= tolerance.unwrap_or(0.0),
                 "reported bound {} must meet the tolerance",
                 resp.error_bound
             );
@@ -726,35 +815,46 @@ fn progressive_tolerance_cancels_and_the_bound_is_honest() {
                 "actual error {actual} exceeds the reported bound {}",
                 resp.error_bound
             );
+            if tolerance.is_some() && i + 1 == sawtooth as usize {
+                assert!(
+                    client.progressive.partial_responses >= 1,
+                    "a 40.0 tolerance on the sawtooth imagery must cut a sequence short, {:?}",
+                    client.progressive
+                );
+            }
         }
-        assert!(
-            client.progressive.partial_responses >= 1,
-            "a 40.0 tolerance on this imagery must cut at least one sequence short, tally {:?}",
-            client.progressive
-        );
         assert_eq!(
             client.progressive.cancels, client.progressive.partial_responses,
             "every partial resolution sent its Cancel"
         );
         client.goodbye();
         let metrics = server.shutdown().expect("clean drain");
-        assert_eq!(metrics.service.completed(), 3, "cancel never loses work");
+        assert_eq!(
+            metrics.service.completed(),
+            requests.len() as u64,
+            "cancel never loses work"
+        );
+        metrics
     };
 
-    let progressive = || RemoteConfig {
-        progressive: Some(codec),
-        ..remote_config()
-    };
-    let listener = MemListener::new(1 << 16, tick());
-    let server = RemoteServer::start(service_config(), progressive(), Box::new(listener.clone()))
-        .expect("config is valid");
-    run(Box::new(listener), server);
-
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick()).expect("loopback bind");
-    let addr = acceptor.local_addr();
-    let server = RemoteServer::start(service_config(), progressive(), Box::new(acceptor))
-        .expect("config is valid");
-    run(Box::new(TcpConnector { addr, tick: tick() }), server);
+    for tcp in [false, true] {
+        let progressive = RemoteConfig {
+            progressive: Some(codec),
+            ..remote_config()
+        };
+        let prog = serve(start(tcp, service_config(), progressive), Some(tolerance));
+        let mono = serve(start(tcp, service_config(), remote_config()), None);
+        assert_eq!(
+            mono.transport.planes_sent, 0,
+            "tcp={tcp}: the baseline is monolithic"
+        );
+        assert!(
+            prog.transport.bytes_out < mono.transport.bytes_out,
+            "tcp={tcp}: progressive-to-tolerance must beat monolithic bytes ({} vs {})",
+            prog.transport.bytes_out,
+            mono.transport.bytes_out
+        );
+    }
 }
 
 /// A byte-budget client stops reading once the budget's worth of
@@ -768,8 +868,8 @@ fn byte_budget_cuts_delivery_and_surfaces_the_stop() {
         step: 0.0,
     };
     let budget = 4096usize;
-    let run = |connector: Box<dyn Connector>, server: RemoteServer| {
-        let mut client = RemoteClient::new(connector, 6).with_byte_budget(budget);
+    let run = |(server, dial): (RemoteServer, Dial)| {
+        let mut client = RemoteClient::new(dial(), 6).with_byte_budget(budget);
         for salt in 0..3u64 {
             // Deep decompositions of a 32x32 image stream far more
             // than 4 KiB, so the budget always fires mid-sequence.
@@ -810,20 +910,13 @@ fn byte_budget_cuts_delivery_and_surfaces_the_stop() {
         );
     };
 
-    let progressive = || RemoteConfig {
-        progressive: Some(codec),
-        ..remote_config()
-    };
-    let listener = MemListener::new(1 << 16, tick());
-    let server = RemoteServer::start(service_config(), progressive(), Box::new(listener.clone()))
-        .expect("config is valid");
-    run(Box::new(listener), server);
-
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick()).expect("loopback bind");
-    let addr = acceptor.local_addr();
-    let server = RemoteServer::start(service_config(), progressive(), Box::new(acceptor))
-        .expect("config is valid");
-    run(Box::new(TcpConnector { addr, tick: tick() }), server);
+    for tcp in [false, true] {
+        let progressive = RemoteConfig {
+            progressive: Some(codec),
+            ..remote_config()
+        };
+        run(start(tcp, service_config(), progressive));
+    }
 }
 
 /// Progressive delivery + tolerance cancels + seeded wire chaos: every
